@@ -11,30 +11,12 @@ power-iteration and diagonal-averaging baselines at matched matvec
 budgets.
 """
 
-from .oplib import DeflatedGramOp, DenseMatrix, GramOp, LinearOp, TransposedOp
-from .sketch import (
-    DiagEstimate,
-    RngStream,
-    hutchinson_diag,
-    hutchpp_diag,
-    lowrank_diag,
-    rademacher_vector,
-    thin_qr,
-)
-from .estimators import (
-    METHODS,
-    GapReport,
-    NormEstimate,
-    adaptive_power,
-    compute_gap,
-    dual_vector,
-    estimate_one_to_two,
-    exact_two_to_inf,
-    rademacher_averaging,
-    sufficient_m_twinest,
-    twinest,
-    twinest_pp,
-)
+# oplib, sketch and estimators are re-exported whole: their __all__ lists are
+# the one record of their public names (PEP 8's case for a wildcard import).
+from . import estimators, oplib, sketch
+from .oplib import *  # noqa: F403
+from .sketch import *  # noqa: F403
+from .estimators import *  # noqa: F403
 from .synthetic import (
     GapMatrixSpec,
     TallMatrixSpec,
@@ -48,30 +30,9 @@ from .bench import BenchConfig, BenchRecord, SummaryRow, run_bench, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearOp",
-    "DenseMatrix",
-    "GramOp",
-    "DeflatedGramOp",
-    "TransposedOp",
-    "RngStream",
-    "DiagEstimate",
-    "rademacher_vector",
-    "hutchinson_diag",
-    "thin_qr",
-    "lowrank_diag",
-    "hutchpp_diag",
-    "NormEstimate",
-    "GapReport",
-    "METHODS",
-    "exact_two_to_inf",
-    "twinest",
-    "twinest_pp",
-    "rademacher_averaging",
-    "dual_vector",
-    "adaptive_power",
-    "estimate_one_to_two",
-    "compute_gap",
-    "sufficient_m_twinest",
+    *oplib.__all__,
+    *sketch.__all__,
+    *estimators.__all__,
     "GapMatrixSpec",
     "TallMatrixSpec",
     "gen_gap_matrix",

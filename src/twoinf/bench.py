@@ -40,12 +40,22 @@ __all__ = [
 
 KNOWN_METHODS = tuple(METHODS)
 
-_MIN_SAMPLES = {
-    "twinest": 1,
-    "twinest_pp": 3,
-    "rademacher_averaging": 1,
-    "adaptive_power": 1,
+# The cost model, method: (extra, step).  A run with sample parameter m costs
+# 2 m + extra matvecs; budget_to_samples rounds m down to a multiple of step,
+# and step is also the smallest m it returns.
+_COSTS = {
+    "twinest": (1, 1),
+    "twinest_pp": (1, 3),
+    "rademacher_averaging": (0, 1),
+    "adaptive_power": (1, 1),
 }
+
+
+def _cost_entry(method: str) -> tuple[int, int]:
+    try:
+        return _COSTS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; choose from {KNOWN_METHODS}") from None
 
 
 def budget_to_samples(method: str, budget: int):
@@ -54,24 +64,15 @@ def budget_to_samples(method: str, budget: int):
     Returns None when the budget cannot cover the method's minimum, so
     the harness can emit a diagnostic row instead of a measurement.
     """
-    if method in ("twinest", "adaptive_power"):
-        m = (budget - 1) // 2
-    elif method == "twinest_pp":
-        m = ((budget - 1) // 2) // 3 * 3
-    elif method == "rademacher_averaging":
-        m = budget // 2
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {KNOWN_METHODS}")
-    return m if m >= _MIN_SAMPLES[method] else None
+    extra, step = _cost_entry(method)
+    m = (budget - extra) // 2 // step * step
+    return m if m >= step else None
 
 
 def method_cost(method: str, m: int) -> int:
     """Exact matvec count the method consumes for sample parameter ``m``."""
-    if method == "rademacher_averaging":
-        return 2 * m
-    if method in ("twinest", "twinest_pp", "adaptive_power"):
-        return 2 * m + 1
-    raise ValueError(f"unknown method {method!r}; choose from {KNOWN_METHODS}")
+    extra, _ = _cost_entry(method)
+    return 2 * m + extra
 
 
 def method_flops(method: str, m: int, rows: int, cols: int) -> float:
@@ -108,8 +109,7 @@ class BenchConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         for name in self.methods:
-            if name not in KNOWN_METHODS:
-                raise ValueError(f"unknown method {name!r}; choose from {KNOWN_METHODS}")
+            _cost_entry(name)  # raises on an unknown method
         if not self.methods:
             raise ValueError("need at least one method")
         if not self.budgets:
@@ -249,6 +249,7 @@ def write_csv(records, path, include_walltime: bool = True, include_flops: bool 
         if include_flops:
             row.append(fmt(r.flops) if r.flops is not None else "nan")
         lines.append(",".join(row))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -295,13 +296,16 @@ def _split_numbers(text: str) -> list[str]:
     return text.replace(",", " ").split()
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_flag(value) -> bool:
+    """A ``store_true`` flag (True or None) or a config-file string, as a bool."""
+    if not isinstance(value, str):
+        return bool(value)
+    lowered = value.strip().lower()
+    if lowered in ("", "0", "false", "no", "off"):
+        return False
     if lowered in ("1", "true", "yes", "on"):
         return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,8 +367,6 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
     budgets = pick(args.budgets, "budgets")
     if budgets is None:
         raise ValueError("no budgets given (flag --budgets or config key 'budgets')")
-    no_walltime = pick(args.no_walltime, "no_walltime")
-    flops = pick(args.flops, "flops")
     return BenchConfig(
         source=source,
         methods=tuple(m.strip() for m in methods.split(",")) if methods else KNOWN_METHODS,
@@ -373,10 +375,8 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
         base_seed=base_seed,
         out=pick(args.out, "out") or "bench.csv",
         workers=int(pick(args.workers, "workers") or 1),
-        include_walltime=not (no_walltime if isinstance(no_walltime, bool)
-                              else _parse_bool(no_walltime) if no_walltime else False),
-        include_flops=(flops if isinstance(flops, bool)
-                       else _parse_bool(flops) if flops else False),
+        include_walltime=not _parse_flag(pick(args.no_walltime, "no_walltime")),
+        include_flops=_parse_flag(pick(args.flops, "flops")),
     )
 
 

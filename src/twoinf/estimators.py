@@ -46,6 +46,18 @@ __all__ = [
 
 DEFAULT_TIE_TOL = 1e-12
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def _pow2_scale(arr: np.ndarray) -> float:
+    """The power of two that takes the largest ``|entry|`` into [0.5, 1).
+
+    Scaling by it is exact, so a sum of squares that overflows or falls
+    below the smallest normal float can be formed on the scaled entries
+    and its square root scaled back.
+    """
+    return math.ldexp(1.0, -math.frexp(float(np.abs(arr).max()))[1])
+
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -72,20 +84,32 @@ class GapReport:
     argmax_set: list[int]
 
 
-def _basis_vector(dim: int, j: int) -> np.ndarray:
-    e = np.zeros(dim)
+def _measure_argmax_row(a: LinearOp, diag: np.ndarray, before: int) -> NormEstimate:
+    """Select the argmax row of ``diag`` and measure its exact norm.
+
+    Ties go to the smallest index; the measurement is one transpose product.
+    """
+    j = int(np.argmax(diag))
+    e = np.zeros(a.rows)
     e[j] = 1.0
-    return e
+    row = a.apply_transpose(e)
+    return NormEstimate(float(np.linalg.norm(row)), j, a.matvec_count - before)
 
 
 def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:
     """Maximum row l2 norm by direct entry access; zero matvecs.
 
-    Ties break to the smallest row index.
+    Ties break to the smallest row index.  When the largest squared row
+    norm overflows or falls below the smallest normal float, the norms are
+    measured on a copy rescaled by a power of two.
     """
+    scale = 1.0
     sq = mat.row_squared_norms()
+    if not _TINY <= sq.max() < math.inf:
+        scale = _pow2_scale(mat.array)
+        sq = DenseMatrix(scale * mat.array).row_squared_norms()
     j = int(np.argmax(sq))
-    return NormEstimate(float(np.sqrt(sq[j])), j, 0)
+    return NormEstimate(float(np.sqrt(sq[j]) / scale), j, 0)
 
 
 def twinest(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -98,13 +122,8 @@ def twinest(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     exceeds the true norm; the only error mode is selecting a
     non-maximal row.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
     before = a.matvec_count
-    diag = hutchinson_diag(GramOp(a), m, rng)
-    j = int(np.argmax(diag.values))
-    row = a.apply_transpose(_basis_vector(a.rows, j))
-    return NormEstimate(float(np.linalg.norm(row)), j, a.matvec_count - before)
+    return _measure_argmax_row(a, hutchinson_diag(GramOp(a), m, rng).values, before)
 
 
 def twinest_pp(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -115,13 +134,8 @@ def twinest_pp(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     matvecs total.  When the sketch captures the whole range of ``A`` the
     diagonal is exact and so is the recovered norm.
     """
-    if m < 3:
-        raise ValueError(f"budget must be at least 3, got {m}")
     before = a.matvec_count
-    diag = hutchpp_diag(a, m, rng)
-    j = int(np.argmax(diag.values))
-    row = a.apply_transpose(_basis_vector(a.rows, j))
-    return NormEstimate(float(np.linalg.norm(row)), j, a.matvec_count - before)
+    return _measure_argmax_row(a, hutchpp_diag(a, m, rng).values, before)
 
 
 def rademacher_averaging(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -133,8 +147,6 @@ def rademacher_averaging(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     negatives (possible, since ``D`` is noisy) clamp to zero because the
     true diagonal is non-negative.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
     before = a.matvec_count
     diag = hutchinson_diag(GramOp(a), m, rng)
     value = math.sqrt(max(0.0, float(np.max(diag.values))))
@@ -147,7 +159,9 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     For ``p = 2``: ``x / ||x||_2``.  For ``p = inf``: the mean of signed
     basis vectors over the set of coordinates attaining ``||x||_inf``,
     with membership decided by exact comparison against the computed
-    maximum.  The zero vector has no dual and raises.
+    maximum.  The zero vector has no dual and raises.  For ``p = 2``, a
+    vector whose sum of squares overflows or falls below the smallest
+    normal float is first rescaled by a power of two.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -155,7 +169,12 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     if not np.any(x):
         raise ValueError("dual vector of the zero vector is undefined")
     if p == 2:
-        return x / np.linalg.norm(x)
+        with np.errstate(over="ignore"):
+            sq = x.dot(x)  # np.linalg.norm(x) is sqrt(x.dot(x))
+        if not _TINY <= sq < math.inf:
+            x = _pow2_scale(x) * x
+            sq = x.dot(x)
+        return x / np.sqrt(sq)
     if p == math.inf:
         mag = np.abs(x)
         members = mag == mag.max()
@@ -217,6 +236,8 @@ def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
     Rows within ``tie_tol * max(1, M)`` of the maximum ``M`` count as
     ties; the gap is measured from ``M`` down to the largest squared row
     norm below the tie band.  If every row ties, the gap is ``inf``.
+    Raises when the largest squared row norm of a nonzero matrix overflows
+    or falls below the smallest normal float: the report cannot hold it.
     """
     arr = mat.array if isinstance(mat, DenseMatrix) else np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -225,6 +246,9 @@ def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
         raise ValueError(f"tie tolerance must be non-negative, got {tie_tol}")
     sq = np.einsum("ij,ij->i", arr, arr)
     top = float(sq.max())
+    if not (_TINY <= top < math.inf or not np.any(arr)):
+        word = "overflow" if top == math.inf else "underflow"
+        raise ValueError(f"squared row norms {word} float64; rescale the matrix")
     in_band = sq >= top - tie_tol * max(1.0, top)
     rest = sq[~in_band]
     gap = math.inf if rest.size == 0 else float(top - rest.max())

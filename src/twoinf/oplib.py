@@ -124,9 +124,9 @@ class GramOp(LinearOp):
         self.inner = inner
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        # x is already validated against this operator's side, which equals
-        # inner.rows, so the inner calls skip re-validation; the counter
-        # still advances by one per oracle call.
+        # The one place that forms A (A^T x).  x is already validated against
+        # this operator's side, which equals inner.rows, so the inner calls
+        # skip re-validation; the counter still advances by one per oracle call.
         inner = self.inner
         inner._matvecs += 2
         return inner._apply(inner._apply_transpose(x))
@@ -135,7 +135,7 @@ class GramOp(LinearOp):
         return self._apply(y)
 
 
-class DeflatedGramOp(LinearOp):
+class DeflatedGramOp(GramOp):
     """The residual operator ``x -> A A^T (I - Q Q^T) x``.
 
     ``basis`` must have orthonormal columns (checked to 1e-10 on entry).
@@ -158,24 +158,17 @@ class DeflatedGramOp(LinearOp):
                 raise ValueError(
                     f"basis columns are not orthonormal: max |Q^T Q - I| = {defect:.3e}"
                 )
-        super().__init__(inner.rows, inner.rows)
-        self.inner = inner
+        super().__init__(inner)
         self.basis = basis
 
     def _project_out(self, x: np.ndarray) -> np.ndarray:
         return x - self.basis @ (self.basis.T @ x)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        x = self._project_out(x)
-        inner = self.inner
-        inner._matvecs += 2
-        return inner._apply(inner._apply_transpose(x))
+        return super()._apply(self._project_out(x))
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        inner = self.inner
-        inner._matvecs += 2
-        z = inner._apply(inner._apply_transpose(y))
-        return self._project_out(z)
+        return self._project_out(super()._apply(y))
 
 
 class TransposedOp(LinearOp):

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oplib import DeflatedGramOp, LinearOp
+from .oplib import DeflatedGramOp, GramOp, LinearOp
 
 __all__ = [
     "RngStream",
     "DiagEstimate",
-    "rademacher_vector",
     "hutchinson_diag",
     "thin_qr",
     "lowrank_diag",
@@ -50,6 +49,8 @@ class RngStream:
         the documented access point for the underlying word stream and
         avoids per-call bounded-integer overhead in the sampling loops.
         """
+        if size < 1:
+            raise ValueError(f"dimension must be positive, got {size}")
         words = self._gen.bit_generator.random_raw((size + 63) // 64)
         bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
         out = bits[:size].astype(np.float64)
@@ -79,13 +80,6 @@ class DiagEstimate:
             raise ValueError(f"samples_used must be positive, got {self.samples_used}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("diagonal estimate contains non-finite entries")
-
-
-def rademacher_vector(dim: int, rng: RngStream) -> np.ndarray:
-    """A length-``dim`` vector of independent fair +-1 entries."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return rng.rademacher(dim)
 
 
 def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
@@ -146,9 +140,10 @@ def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
             f"got shape {q.shape}"
         )
     diag = np.zeros(a.rows)
+    gram = GramOp(a).apply
     for k in range(q.shape[1]):
         col = q[:, k]
-        diag += a.apply(a.apply_transpose(col)) * col
+        diag += gram(col) * col
     return diag
 
 
@@ -170,12 +165,10 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
         raise ValueError(f"budget must be at least 3, got {m}")
     d = a.rows
     r = min(m // 3, d)
-    sketch = np.empty((d, r))
-    for k in range(r):
-        sketch[:, k] = rademacher_vector(d, rng)
+    gram = GramOp(a).apply
     image = np.empty((d, r))
     for k in range(r):
-        image[:, k] = a.apply(a.apply_transpose(sketch[:, k]))
+        image[:, k] = gram(rng.rademacher(d))
     q = thin_qr(image)
     low = lowrank_diag(a, q)
     residual_samples = m - 2 * r

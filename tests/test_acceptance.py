@@ -25,7 +25,6 @@ from twoinf import (
     gen_tall_lowrank,
     hutchpp_diag,
     lowrank_diag,
-    rademacher_vector,
     run_bench,
     sufficient_m_twinest,
     summarize,
@@ -211,7 +210,7 @@ def test_criterion_5_single_sample_diagonal_statistics():
     rng = RngStream(7)
     samples = np.empty((n, 10))
     for k in range(n):
-        x = rademacher_vector(10, rng)
+        x = rng.rademacher(10)
         samples[k] = x * op.apply(x)
 
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n)

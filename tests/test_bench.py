@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ def test_cli_flags_override_config_file(tmp_path):
     assert cfg.trials == 5
     assert cfg.budgets == (7, 15)
     assert cfg.base_seed == 11  # untouched file value still applies
+
+
+def test_shipped_config_files_run(tmp_path):
+    confs = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.conf"))
+    assert confs, "no config files under scripts/"
+    for conf in confs:
+        out = tmp_path / f"{conf.stem}.csv"
+        assert main(["--config", str(conf), "--trials", "1", "--out", str(out)]) == 0, conf.name
+        assert out.read_text().startswith("method,matvec_budget,trial,seed,"), conf.name
 
 
 def test_config_file_rejects_garbage(tmp_path):

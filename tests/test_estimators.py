@@ -39,6 +39,11 @@ def test_exact_two_to_inf_diagonal():
     est = exact_two_to_inf(DenseMatrix([[2.0, 0.0], [0.0, 1.0]]))
     assert est.value == 2.0
     assert est.selected_row == 0
+    # Squared norms that overflow or fall below the smallest normal float.
+    for scale in (1e200, 1e-170):
+        est = exact_two_to_inf(DenseMatrix([[scale, 0.0], [0.0, scale / 2]]))
+        assert est.value == scale
+        assert est.selected_row == 0
 
 
 def test_exact_two_to_inf_zero_matrix():
@@ -198,6 +203,10 @@ def test_rademacher_averaging_trails_twinest_at_matched_budget():
 
 def test_dual_two_normalizes():
     assert np.allclose(dual_vector([3.0, 4.0], 2), [0.6, 0.8], atol=1e-15)
+    # Sums of squares that overflow or fall below the smallest normal float.
+    unit = [2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)]
+    for scale in (1e200, 1e-170):
+        assert np.allclose(dual_vector([scale, scale / 2], 2), unit, rtol=1e-15, atol=0.0)
 
 
 def test_dual_inf_shares_ties():
@@ -353,6 +362,15 @@ def test_compute_gap_rejects_empty():
         compute_gap(np.empty((0, 3)))
 
 
+def test_compute_gap_rejects_unrepresentable_squared_norms():
+    for scale, word in ((1e200, "overflow"), (1e-170, "underflow")):
+        mat = DenseMatrix([[scale, 0.0], [0.0, scale / 2]])
+        with pytest.raises(ValueError, match=word):
+            compute_gap(mat)
+        with pytest.raises(ValueError, match=word):
+            sufficient_m_twinest(mat, 0.1)
+
+
 def test_compute_gap_rejects_negative_tolerance():
     with pytest.raises(ValueError, match="non-negative"):
         compute_gap(DenseMatrix(np.eye(2)), tie_tol=-1e-3)
@@ -409,6 +427,15 @@ def test_scale_equivariance_power_of_two():
         two = fn(DenseMatrix(2.0 * base), m, RngStream(9))
         assert two.value == 2.0 * one.value, name
         assert two.selected_row == one.selected_row, name
+    # The oracle and the power iteration stay exact where squared norms
+    # overflow (2^660) or fall below the smallest normal float (2^-560).
+    for scale in (2.0**660, 2.0**-560):
+        far = DenseMatrix(scale * base)
+        assert exact_two_to_inf(far).value == scale * exact_two_to_inf(DenseMatrix(base)).value
+        one = adaptive_power(DenseMatrix(base), 6, RngStream(9))
+        two = adaptive_power(far, 6, RngStream(9))
+        assert two.value == scale * one.value
+        assert not two.degenerate
 
 
 @given(scale=st.floats(0.1, 10.0, allow_nan=False))
