@@ -13,7 +13,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -219,6 +218,10 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
     if cfg.workers == 1:
         records.extend(run_one(*args) for args in runs)
     else:
+        # Imported here: only a multi-worker run needs it, and importing it
+        # (logging and queue come with it) costs resident memory.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             records.extend(pool.map(lambda args: run_one(*args), runs))
 

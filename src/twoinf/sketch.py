@@ -28,6 +28,10 @@ __all__ = [
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
+# Probes per block in hutchinson_diag.  A constant, so that the order of the
+# float sums, and with it every result, never depends on the host or input.
+_BLOCK = 64
+
 
 class RngStream:
     """Deterministic random stream keyed by a 64-bit seed.
@@ -68,6 +72,25 @@ class RngStream:
         return f"RngStream(seed={self.seed:#x})"
 
 
+def _probe_block(rng: RngStream, d: int, k: int) -> np.ndarray:
+    """``k`` Rademacher probes of length ``d``, the columns of a ``d x k`` block.
+
+    One draw of ``k`` word-aligned rows: bit-identical to ``k`` calls of
+    ``rng.rademacher(d)``, and it leaves the stream where they would.
+    """
+    w = 64 * -(-d // 64)
+    return rng.rademacher(k * w).reshape(k, w)[:, :d].T
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Reject a non-finite result; from finite entries only overflowing products give one."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            "non-finite values: products with the operator overflow float64; "
+            "rescale the operator"
+        )
+
+
 @dataclass(frozen=True)
 class DiagEstimate:
     """Estimated diagonal of a square operator plus the sample count."""
@@ -78,8 +101,7 @@ class DiagEstimate:
     def __post_init__(self):
         if self.samples_used < 1:
             raise ValueError(f"samples_used must be positive, got {self.samples_used}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("diagonal estimate contains non-finite entries")
+        _require_finite(self.values)
 
 
 def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
@@ -88,7 +110,8 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     Averages ``x * (op x)`` over ``m`` independent Rademacher probes.
     Unbiased for any square ``op``; the per-entry single-sample variance
     equals the squared off-diagonal row norm.  Consumes exactly ``m``
-    applications of ``op``.
+    applications of ``op``, made in blocks of up to 64 probes; the probes
+    are those of ``m`` successive ``rng.rademacher`` draws.
     """
     if op.rows != op.cols:
         raise ValueError(
@@ -97,10 +120,9 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
     acc = np.zeros(op.rows)
-    draw, apply, side = rng.rademacher, op.apply, op.rows
-    for _ in range(m):
-        x = draw(side)
-        acc += x * apply(x)
+    for start in range(0, m, _BLOCK):
+        x = _probe_block(rng, op.rows, min(_BLOCK, m - start))
+        acc += np.einsum("ij,ij->i", x, op.apply(x))
     return DiagEstimate(acc / m, m)
 
 
@@ -129,9 +151,8 @@ def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
     """Exact diagonal of ``A A^T Q Q^T`` for an orthonormal ``Q``.
 
     Entry ``i`` is the inner product of row ``i`` of ``A A^T Q`` with row
-    ``i`` of ``Q``; forming ``A (A^T q_k)`` column by column consumes
-    exactly ``2 r`` matvecs.  An empty ``Q`` yields the zero vector at
-    zero cost.
+    ``i`` of ``Q``; forming ``A (A^T Q)`` as one block consumes exactly
+    ``2 r`` matvecs.  An empty ``Q`` yields the zero vector at zero cost.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != a.rows:
@@ -139,12 +160,7 @@ def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
             f"basis must be {a.rows}xr for an operator with {a.rows} rows, "
             f"got shape {q.shape}"
         )
-    diag = np.zeros(a.rows)
-    gram = GramOp(a).apply
-    for k in range(q.shape[1]):
-        col = q[:, k]
-        diag += gram(col) * col
-    return diag
+    return np.einsum("ij,ij->i", GramOp(a).apply(q), q)
 
 
 def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
@@ -159,16 +175,15 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
 
     The sketch width is capped at the operator side ``d``; surplus budget
     goes to residual samples (deflation cannot use more than ``d``
-    directions).
+    directions).  The sketch is applied as one block; an image that
+    overflows float64 raises before the QR.
     """
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
     d = a.rows
     r = min(m // 3, d)
-    gram = GramOp(a).apply
-    image = np.empty((d, r))
-    for k in range(r):
-        image[:, k] = gram(rng.rademacher(d))
+    image = GramOp(a).apply(_probe_block(rng, d, r))
+    _require_finite(image)
     q = thin_qr(image)
     low = lowrank_diag(a, q)
     residual_samples = m - 2 * r

@@ -436,6 +436,13 @@ def test_scale_equivariance_power_of_two():
         two = adaptive_power(far, 6, RngStream(9))
         assert two.value == scale * one.value
         assert not two.degenerate
+    # The sampled estimators are not scale-safe: where the products overflow
+    # they raise one error that says so, directly and on the transpose.
+    huge = DenseMatrix([[1e200, 0.0], [0.0, 5e199]])
+    for name in ("twinest", "twinest_pp", "rademacher_averaging"):
+        for run in (METHODS[name], lambda a, m, r: estimate_one_to_two(a, name, m, r)):
+            with pytest.raises(ValueError, match="overflow float64; rescale the operator"):
+                run(huge, 6, RngStream(9))
 
 
 @given(scale=st.floats(0.1, 10.0, allow_nan=False))

@@ -27,6 +27,12 @@ def test_dense_apply_dimension_mismatch_names_both_dimensions():
         a.apply(np.ones(3))
     with pytest.raises(ValueError, match=r"length 3.*3x2"):
         a.apply_transpose(np.ones(2))
+    with pytest.raises(ValueError, match=r"length 2 or a 2xk block.*3x2"):
+        a.apply(np.ones((3, 4)))
+    with pytest.raises(ValueError, match=r"length 3 or a 3xk block.*3x2"):
+        a.apply_transpose(np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"length 2.*3x2.*\(2, 4, 1\)"):
+        a.apply(np.ones((2, 4, 1)))
 
 
 def test_dense_rejects_non_finite_entries():
@@ -97,6 +103,10 @@ def test_gram_costs_exactly_two_inner_matvecs_per_apply():
         g.apply(np.ones(2))
         assert a.matvec_count == 2 * k
         assert g.matvec_count == k
+    # A 2 x k block is k applications: 2k inner matvecs.
+    g.apply(np.ones((2, 7)))
+    assert a.matvec_count == 2 * 5 + 2 * 7
+    assert g.matvec_count == 5 + 7
 
 
 def test_gram_dimension_mismatch():
@@ -164,6 +174,10 @@ def test_counter_unaffected_by_failed_calls():
     a = DenseMatrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         a.apply(np.ones(2))
+    with pytest.raises(ValueError):
+        a.apply(np.ones((2, 5)))
+    with pytest.raises(ValueError):
+        a.apply_transpose(np.ones((2, 3, 1)))
     assert a.matvec_count == 0
 
 

@@ -9,11 +9,13 @@ from twoinf import (
     DiagEstimate,
     GramOp,
     RngStream,
+    TransposedOp,
     hutchinson_diag,
     hutchpp_diag,
     lowrank_diag,
     thin_qr,
 )
+from twoinf.sketch import _BLOCK, _probe_block
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,18 @@ def test_philox_golden_stream():
         213000021201967259, 4455796210202625458,
     ]
     assert RngStream(0).rademacher(8).tolist() == [1, 1, -1, 1, 1, -1, -1, 1]
+
+
+def test_probe_block_matches_successive_draws():
+    # The block is one draw of word-aligned rows: column j is the j-th of k
+    # rademacher(d) calls, and the stream ends where those calls leave it.
+    for d in (1, 50, 63, 64, 65, 127, 128, 129, 200):
+        for k in (1, 3, _BLOCK):
+            blocked, single = RngStream(d * k), RngStream(d * k)
+            block = _probe_block(blocked, d, k)
+            assert block.shape == (d, k)
+            assert np.array_equal(block, np.stack([single.rademacher(d) for _ in range(k)], axis=1))
+            assert np.array_equal(blocked.rademacher(d + 1), single.rademacher(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +139,42 @@ def test_hutchinson_deviation_quantile_within_union_bound():
             sup_errors[k] = np.abs(est.values - true_diag).max()
         bound = np.sqrt(2.0 * np.log(2 * 10 / delta) / m) * envelope_scale
         assert np.quantile(sup_errors, 1 - delta) <= bound
+
+
+def _sequential_hutchinson(op, m, rng):
+    # Reference: one probe and one product at a time, summed in probe order.
+    acc = np.zeros(op.rows)
+    for _ in range(m):
+        x = rng.rademacher(op.rows)
+        acc += x * op.apply(x)
+    return acc / m
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    n=st.integers(1, 40),
+    m=st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)),
+)
+@settings(max_examples=25)
+def test_hutchinson_blocks_match_sequential_probing(seed, d, n, m):
+    # Blocks change only the order of float summation, so the diagonal
+    # agrees to 1e-12 relative and the matvec count is the same.
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((d, n))
+    q = thin_qr(rng.standard_normal((d, min(d, n) // 2)))
+    square = rng.standard_normal((d, d))
+    for make in (
+        lambda: GramOp(DenseMatrix(entries)),
+        lambda: DeflatedGramOp(DenseMatrix(entries), q),
+        lambda: TransposedOp(DenseMatrix(square)),
+    ):
+        op, ref_op = make(), make()
+        got = hutchinson_diag(op, m, RngStream(seed)).values
+        want = _sequential_hutchinson(ref_op, m, RngStream(seed))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert op.matvec_count == ref_op.matvec_count == m
+        assert op.inner.matvec_count == ref_op.inner.matvec_count
 
 
 def test_hutchinson_replay_bit_identical():
