@@ -6,9 +6,9 @@ both using only matrix-vector products with ``A`` and ``A^T``, by
 locating the largest diagonal entry of the Gram operator ``A A^T``
 through seeded stochastic diagonal estimation, with an optional
 sketch-and-deflate variance reduction, and then measuring the selected
-row's norm exactly.  A benchmark harness compares the estimators against
-power-iteration and diagonal-averaging baselines at matched matvec
-budgets.
+row's norm exactly.  The benchmark harness in ``twoinf.bench`` (also the
+``twoinf-bench`` command) compares the estimators against power-iteration
+and diagonal-averaging baselines at matched matvec budgets.
 """
 
 # oplib, sketch and estimators are re-exported whole: their __all__ lists are
@@ -25,7 +25,6 @@ from .synthetic import (
     load_matrix,
     save_matrix,
 )
-from .bench import BenchConfig, BenchRecord, SummaryRow, run_bench, summarize
 
 __version__ = "0.1.0"
 
@@ -39,9 +38,4 @@ __all__ = [
     "gen_tall_lowrank",
     "save_matrix",
     "load_matrix",
-    "BenchConfig",
-    "BenchRecord",
-    "SummaryRow",
-    "run_bench",
-    "summarize",
 ]

@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import METHODS, exact_two_to_inf
+# method_cost is not used here; callers import it from twoinf.bench too.
+from .estimators import (  # noqa: F401
+    METHODS,
+    _cost_entry,
+    budget_to_samples,
+    exact_two_to_inf,
+    method_cost,
+    method_flops,
+)
 from .oplib import DenseMatrix
 from .sketch import RngStream
 from .synthetic import GapMatrixSpec, TallMatrixSpec, gen_gap_matrix, gen_tall_lowrank, load_matrix
@@ -27,68 +35,12 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "SummaryRow",
-    "budget_to_samples",
-    "method_cost",
-    "method_flops",
     "run_bench",
     "summarize",
     "write_csv",
     "load_config_file",
     "main",
 ]
-
-KNOWN_METHODS = tuple(METHODS)
-
-# The cost model, method: (extra, step).  A run with sample parameter m costs
-# 2 m + extra matvecs; budget_to_samples rounds m down to a multiple of step,
-# and step is also the smallest m it returns.
-_COSTS = {
-    "twinest": (1, 1),
-    "twinest_pp": (1, 3),
-    "rademacher_averaging": (0, 1),
-    "adaptive_power": (1, 1),
-}
-
-
-def _cost_entry(method: str) -> tuple[int, int]:
-    try:
-        return _COSTS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; choose from {KNOWN_METHODS}") from None
-
-
-def budget_to_samples(method: str, budget: int):
-    """Largest sample parameter whose matvec cost fits ``budget``.
-
-    Returns None when the budget cannot cover the method's minimum, so
-    the harness can emit a diagnostic row instead of a measurement.
-    """
-    extra, step = _cost_entry(method)
-    m = (budget - extra) // 2 // step * step
-    return m if m >= step else None
-
-
-def method_cost(method: str, m: int) -> int:
-    """Exact matvec count the method consumes for sample parameter ``m``."""
-    extra, _ = _cost_entry(method)
-    return 2 * m + extra
-
-
-def method_flops(method: str, m: int, rows: int, cols: int) -> float:
-    """Coarse dense-arithmetic FLOP model for one run.
-
-    One matvec is 2*rows*cols; the deflated method additionally pays for
-    one thin QR (2*d*r^2) and one projector application (4*d*r) per
-    residual sample.  Intended for order-of-magnitude comparisons only.
-    """
-    matvec = 2.0 * rows * cols
-    flops = method_cost(method, m) * matvec
-    if method == "twinest_pp":
-        r = min(m // 3, rows)
-        residual_samples = m - 2 * r
-        flops += 2.0 * rows * r * r + 4.0 * rows * r * residual_samples
-    return flops
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -282,7 +234,11 @@ def summarize(records) -> list[SummaryRow]:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file mirroring the CLI flags; '#' starts a comment."""
+    """Flat key=value file mirroring the CLI flags; '#' starts a comment.
+
+    A key must name a CLI option other than ``--config``.
+    """
+    known = set(vars(build_parser().parse_args([]))) - {"config"}
     opts = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -291,7 +247,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        opts[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; choose from {sorted(known)}")
+        opts[key] = value.strip()
     return opts
 
 
@@ -325,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--load", metavar="PATH", help="binary matrix file source")
     p.add_argument("--config", metavar="PATH",
                    help="key=value config file; explicit flags override it")
-    p.add_argument("--methods", help=f"comma list from {', '.join(KNOWN_METHODS)}")
+    p.add_argument("--methods", help=f"comma list from {', '.join(METHODS)}")
     p.add_argument("--budgets", help="comma list of strictly increasing matvec budgets")
     p.add_argument("--trials", type=int, help="trials per (method, budget)")
     p.add_argument("--seed", type=int, help="base seed; trial t uses seed+t")
@@ -372,7 +331,7 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
         raise ValueError("no budgets given (flag --budgets or config key 'budgets')")
     return BenchConfig(
         source=source,
-        methods=tuple(m.strip() for m in methods.split(",")) if methods else KNOWN_METHODS,
+        methods=tuple(m.strip() for m in methods.split(",")) if methods else tuple(METHODS),
         budgets=tuple(int(b) for b in _split_numbers(budgets)),
         trials=int(pick(args.trials, "trials") or 1),
         base_seed=base_seed,

@@ -17,6 +17,10 @@ estimators here locate that entry through matvec products only:
 ``estimate_one_to_two`` runs any of the above on the transposed
 operator, since the one-to-two norm of ``A`` is the two-to-infinity norm
 of ``A^T``.
+
+The method table at the end of the module declares each method once: its
+estimator, its matvec cost and its sample step.  ``METHODS`` and the cost
+model (``budget_to_samples``, ``method_cost``, ``method_flops``) read it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp
-from .sketch import RngStream, hutchinson_diag, hutchpp_diag
+from .sketch import RngStream, _hutchpp_split, hutchinson_diag, hutchpp_diag
 
 __all__ = [
     "NormEstimate",
@@ -42,6 +46,9 @@ __all__ = [
     "compute_gap",
     "sufficient_m_twinest",
     "METHODS",
+    "budget_to_samples",
+    "method_cost",
+    "method_flops",
 ]
 
 DEFAULT_TIE_TOL = 1e-12
@@ -214,20 +221,14 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     return NormEstimate(value, None, a.matvec_count - before)
 
 
-def estimate_one_to_two(a: LinearOp, method, m: int, rng: RngStream) -> NormEstimate:
+def estimate_one_to_two(a: LinearOp, method: str, m: int, rng: RngStream) -> NormEstimate:
     """Estimate the one-to-two norm (maximum column l2 norm) of ``a``.
 
-    Runs the chosen estimator on the transposed operator; ``method`` is a
-    name from :data:`METHODS` or a callable with the same signature.
+    Runs the estimator :data:`METHODS` names ``method`` on the transposed
+    operator.
     """
-    if isinstance(method, str):
-        try:
-            method = METHODS[method]
-        except KeyError:
-            raise ValueError(
-                f"unknown method {method!r}; choose from {sorted(METHODS)}"
-            ) from None
-    return method(TransposedOp(a), m, rng)
+    _cost_entry(method)  # raises on an unknown method
+    return METHODS[method](TransposedOp(a), m, rng)
 
 
 def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
@@ -276,9 +277,59 @@ def sufficient_m_twinest(mat: DenseMatrix, delta: float) -> int:
     return int(math.floor(bound)) + 1
 
 
-METHODS = {
-    "twinest": twinest,
-    "twinest_pp": twinest_pp,
-    "rademacher_averaging": rademacher_averaging,
-    "adaptive_power": adaptive_power,
+# The method table, name: (estimator, extra, step).  A run with sample
+# parameter m costs 2 m + extra matvecs; budget_to_samples rounds m down to a
+# multiple of step, and step is also the smallest m it returns.
+_METHOD_TABLE = {
+    "twinest": (twinest, 1, 1),
+    "twinest_pp": (twinest_pp, 1, 3),
+    "rademacher_averaging": (rademacher_averaging, 0, 1),
+    "adaptive_power": (adaptive_power, 1, 1),
 }
+
+# A dict of its own, read at call time, so an entry replaced in it (a wrapper,
+# say) is what runs; costs are looked up by name and never read off it.
+METHODS = {name: fn for name, (fn, _, _) in _METHOD_TABLE.items()}
+
+
+def _cost_entry(method: str) -> tuple[int, int]:
+    """``(extra, step)`` of a method; the one place an unknown name raises."""
+    try:
+        _, extra, step = _METHOD_TABLE[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {tuple(_METHOD_TABLE)}"
+        ) from None
+    return extra, step
+
+
+def budget_to_samples(method: str, budget: int):
+    """Largest sample parameter whose matvec cost fits ``budget``.
+
+    Returns None when the budget cannot cover the method's minimum, so
+    the harness can emit a diagnostic row instead of a measurement.
+    """
+    extra, step = _cost_entry(method)
+    m = (budget - extra) // 2 // step * step
+    return m if m >= step else None
+
+
+def method_cost(method: str, m: int) -> int:
+    """Exact matvec count the method consumes for sample parameter ``m``."""
+    extra, _ = _cost_entry(method)
+    return 2 * m + extra
+
+
+def method_flops(method: str, m: int, rows: int, cols: int) -> float:
+    """Coarse dense-arithmetic FLOP model for one run.
+
+    One matvec is 2*rows*cols; the deflated method additionally pays for
+    one thin QR (2*d*r^2) and one projector application (4*d*r) per
+    residual sample.  Intended for order-of-magnitude comparisons only.
+    """
+    matvec = 2.0 * rows * cols
+    flops = method_cost(method, m) * matvec
+    if method == "twinest_pp":
+        r, residual_samples = _hutchpp_split(m, rows)
+        flops += 2.0 * rows * r * r + 4.0 * rows * r * residual_samples
+    return flops

@@ -120,9 +120,11 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
     acc = np.zeros(op.rows)
-    for start in range(0, m, _BLOCK):
-        x = _probe_block(rng, op.rows, min(_BLOCK, m - start))
-        acc += np.einsum("ij,ij->i", x, op.apply(x))
+    # An overflowing product is reported by DiagEstimate's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _BLOCK):
+            x = _probe_block(rng, op.rows, min(_BLOCK, m - start))
+            acc += np.einsum("ij,ij->i", x, op.apply(x))
     return DiagEstimate(acc / m, m)
 
 
@@ -163,6 +165,12 @@ def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", GramOp(a).apply(q), q)
 
 
+def _hutchpp_split(m: int, d: int) -> tuple[int, int]:
+    """Sketch width and residual sample count of a budget of ``m`` on side ``d``."""
+    r = min(m // 3, d)
+    return r, m - 2 * r
+
+
 def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     """Variance-reduced estimate of the diagonal of ``A A^T``.
 
@@ -181,11 +189,11 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
     d = a.rows
-    r = min(m // 3, d)
-    image = GramOp(a).apply(_probe_block(rng, d, r))
+    r, residual_samples = _hutchpp_split(m, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = GramOp(a).apply(_probe_block(rng, d, r))
     _require_finite(image)
     q = thin_qr(image)
     low = lowrank_diag(a, q)
-    residual_samples = m - 2 * r
     residual = hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng)
     return DiagEstimate(low + residual.values, m)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from twoinf import (
-    BenchConfig,
     DenseMatrix,
     GapMatrixSpec,
     GramOp,
@@ -25,14 +24,12 @@ from twoinf import (
     gen_tall_lowrank,
     hutchpp_diag,
     lowrank_diag,
-    run_bench,
     sufficient_m_twinest,
-    summarize,
     thin_qr,
     twinest,
     twinest_pp,
 )
-from twoinf.bench import budget_to_samples, method_cost
+from twoinf.bench import BenchConfig, budget_to_samples, method_cost, run_bench, summarize
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} - {detail}")

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoinf import BenchConfig, GapMatrixSpec, TallMatrixSpec, run_bench, save_matrix, summarize
+import twoinf
+from twoinf import GapMatrixSpec, TallMatrixSpec, save_matrix
 from twoinf.bench import (
+    BenchConfig,
+    BenchRecord,
     budget_to_samples,
     config_from_args,
     build_parser,
@@ -14,6 +20,8 @@ from twoinf.bench import (
     main,
     method_cost,
     method_flops,
+    run_bench,
+    summarize,
     write_csv,
 )
 
@@ -193,8 +201,6 @@ def test_summarize_mean():
 
 
 def test_summarize_handcrafted_values():
-    from twoinf.bench import BenchRecord
-
     mk = lambda e, t: BenchRecord("twinest", 10, t, t, 1.0, 1.0, e, 0.0, 9)
     rows = summarize([mk(0.1, 0), mk(0.2, 1), mk(0.3, 2)])
     assert rows[0].mean_rel_error == pytest.approx(0.2)
@@ -228,8 +234,6 @@ def test_csv_columns_with_flops_without_walltime(tmp_path):
 
 
 def test_csv_seventeen_digit_floats(tmp_path):
-    from twoinf.bench import BenchRecord
-
     rec = BenchRecord("twinest", 9, 0, 1, 1.0 / 3.0, 1.0, 2.0 / 3.0, 0.0, 9)
     path = tmp_path / "p.csv"
     write_csv([rec], path, include_walltime=False)
@@ -324,3 +328,24 @@ def test_config_file_rejects_garbage(tmp_path):
     cfg_file.write_text("just some words\n")
     with pytest.raises(ValueError, match="expected key=value"):
         load_config_file(cfg_file)
+    # A misspelled key names no option; it must not be dropped silently.
+    cfg_file.write_text("gap = 8 8 0.2\nbudgets = 10\ntrails = 50\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:3: unknown key 'trails'"):
+        load_config_file(cfg_file)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    # ``python -m twoinf.bench`` warns if importing the package already
+    # imported ``twoinf.bench``; -W error turns that warning into a failure.
+    path = [str(Path(twoinf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = tmp_path / "run.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "twoinf.bench",
+         "--gap", "8", "8", "0.2", "--budgets", "10", "--no-walltime", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("method,matvec_budget,trial,seed,")

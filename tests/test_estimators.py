@@ -89,16 +89,38 @@ def test_twinest_matvec_accounting():
         assert a.matvec_count == 2 * m + 1
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25)
-def test_twinest_row_exactness(seed):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    exponent=st.integers(-100, 100),
+    shape=st.sampled_from(["plain", "zero_row", "tied_rows", "zero_matrix"]),
+    m=st.integers(3, 12),
+)
+@settings(max_examples=100)
+def test_twinest_row_exactness(seed, rows, cols, exponent, shape, m):
     # Whatever row gets selected, the reported value is that row's exact
-    # norm, so the estimate never exceeds the true norm.
+    # norm, so the estimate never exceeds the true norm -- also for tiny
+    # or huge entries, zero rows, exact ties, one row or one column, and
+    # for the columns when the method runs on the transpose.
     rng = np.random.default_rng(seed)
-    a = DenseMatrix(rng.standard_normal((7, 5)))
-    est = twinest(a, 3, RngStream(seed))
-    assert est.value == np.linalg.norm(a.array[est.selected_row])
-    assert est.value <= exact_two_to_inf(a).value + 1e-12
+    arr = rng.standard_normal((rows, cols)) * 10.0**exponent
+    i, j = rng.integers(rows, size=2)
+    if shape == "zero_row":
+        arr[i] = 0.0
+    elif shape == "tied_rows":
+        arr[i] = arr[j]
+    elif shape == "zero_matrix":
+        arr[:] = 0.0
+    for lines, run in (
+        (arr, lambda method: METHODS[method](DenseMatrix(arr), m, RngStream(seed))),
+        (arr.T, lambda method: estimate_one_to_two(DenseMatrix(arr), method, m, RngStream(seed))),
+    ):
+        exact = exact_two_to_inf(DenseMatrix(lines)).value
+        for method in ("twinest", "twinest_pp"):
+            est = run(method)
+            assert est.value == np.linalg.norm(lines[est.selected_row]), method
+            assert est.value <= exact * (1 + 1e-12), method
 
 
 def test_twinest_recovers_under_sufficient_sampling():
