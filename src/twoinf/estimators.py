@@ -53,17 +53,43 @@ __all__ = [
 
 DEFAULT_TIE_TOL = 1e-12
 
-_TINY = np.finfo(np.float64).tiny
+# The smallest sum of squares formed as it is.  A square below the smallest
+# normal float is rounded to a coarser grid; from here up, that rounding error
+# (at most 2^-1075) is under 2^-54 of an ulp of the sum, while just above the
+# smallest normal float it can move the sum's last bit.
+_SQ_LOW = np.finfo(np.float64).tiny * 2.0**53
 
 
 def _pow2_scale(arr: np.ndarray) -> float:
     """The power of two that takes the largest ``|entry|`` into [0.5, 1).
 
-    Scaling by it is exact, so a sum of squares that overflows or falls
-    below the smallest normal float can be formed on the scaled entries
+    Scaling by it is exact, so a sum of squares out of the range
+    :func:`_sum_squares` forms directly can be formed on the scaled entries
     and its square root scaled back.
     """
     return math.ldexp(1.0, -math.frexp(float(np.abs(arr).max()))[1])
+
+
+def _squares(arr: np.ndarray):
+    """Sum of squares of a vector, summed as numpy's vector 2-norm sums it,
+    or of each row of a matrix."""
+    return arr.dot(arr) if arr.ndim == 1 else np.einsum("ij,ij->i", arr, arr)
+
+
+def _sum_squares(arr: np.ndarray):
+    """Sums of squares of ``arr`` (a vector, or each row) and their scale ``s``.
+
+    The sums are those of ``s * arr``.  ``s`` is 1 unless the largest sum
+    overflows or falls below ``_SQ_LOW``; then it is :func:`_pow2_scale` of
+    ``arr``.  So ``sqrt(sum) / s`` on ``2^k arr`` is ``2^k`` times its value
+    on ``arr``, bit for bit, wherever that is a normal float.
+    """
+    with np.errstate(over="ignore"):
+        sq = _squares(arr)
+    if _SQ_LOW <= (sq if arr.ndim == 1 else sq.max()) < math.inf:
+        return sq, 1.0
+    s = _pow2_scale(arr)
+    return _squares(s * arr), s
 
 
 @dataclass(frozen=True)
@@ -99,24 +125,20 @@ def _measure_argmax_row(a: LinearOp, diag: np.ndarray, before: int) -> NormEstim
     j = int(np.argmax(diag))
     e = np.zeros(a.rows)
     e[j] = 1.0
-    row = a.apply_transpose(e)
-    return NormEstimate(float(np.linalg.norm(row)), j, a.matvec_count - before)
+    sq, s = _sum_squares(a.apply_transpose(e))
+    return NormEstimate(float(np.sqrt(sq) / s), j, a.matvec_count - before)
 
 
 def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:
     """Maximum row l2 norm by direct entry access; zero matvecs.
 
-    Ties break to the smallest row index.  When the largest squared row
-    norm overflows or falls below the smallest normal float, the norms are
-    measured on a copy rescaled by a power of two.
+    Ties break to the smallest row index.  The squared norms come from
+    :func:`_sum_squares`, which rescales by a power of two where they
+    overflow or underflow.
     """
-    scale = 1.0
-    sq = mat.row_squared_norms()
-    if not _TINY <= sq.max() < math.inf:
-        scale = _pow2_scale(mat.array)
-        sq = DenseMatrix(scale * mat.array).row_squared_norms()
+    sq, s = _sum_squares(mat.array)
     j = int(np.argmax(sq))
-    return NormEstimate(float(np.sqrt(sq[j]) / scale), j, 0)
+    return NormEstimate(float(np.sqrt(sq[j]) / s), j, 0)
 
 
 def twinest(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -167,8 +189,8 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     basis vectors over the set of coordinates attaining ``||x||_inf``,
     with membership decided by exact comparison against the computed
     maximum.  The zero vector has no dual and raises.  For ``p = 2``, a
-    vector whose sum of squares overflows or falls below the smallest
-    normal float is first rescaled by a power of two.
+    vector whose sum of squares :func:`_sum_squares` forms on a rescaled
+    copy is normalized from that copy.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -176,11 +198,9 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     if not np.any(x):
         raise ValueError("dual vector of the zero vector is undefined")
     if p == 2:
-        with np.errstate(over="ignore"):
-            sq = x.dot(x)  # np.linalg.norm(x) is sqrt(x.dot(x))
-        if not _TINY <= sq < math.inf:
-            x = _pow2_scale(x) * x
-            sq = x.dot(x)
+        sq, s = _sum_squares(x)
+        if s != 1.0:
+            x = s * x
         return x / np.sqrt(sq)
     if p == math.inf:
         mag = np.abs(x)
@@ -209,9 +229,10 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     best = 0.0
     for _ in range(m):
         ax = a.apply(x)
-        if not np.any(ax):
+        top = float(np.abs(ax).max())
+        if top == 0.0:
             return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
-        best = max(best, float(np.abs(ax).max()))
+        best = max(best, top)
         y = dual_vector(ax, math.inf)
         aty = a.apply_transpose(y)
         if not np.any(aty):
@@ -237,18 +258,19 @@ def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
     Rows within ``tie_tol * max(1, M)`` of the maximum ``M`` count as
     ties; the gap is measured from ``M`` down to the largest squared row
     norm below the tie band.  If every row ties, the gap is ``inf``.
-    Raises when the largest squared row norm of a nonzero matrix overflows
-    or falls below the smallest normal float: the report cannot hold it.
+    Raises where :func:`_sum_squares` would rescale, that is where the
+    largest squared row norm of a nonzero matrix overflows or falls below
+    ``_SQ_LOW``, and on non-finite entries: the report cannot hold them.
     """
     arr = mat.array if isinstance(mat, DenseMatrix) else np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"need a matrix with at least one row, got shape {arr.shape}")
     if tie_tol < 0:
         raise ValueError(f"tie tolerance must be non-negative, got {tie_tol}")
-    sq = np.einsum("ij,ij->i", arr, arr)
+    sq, s = _sum_squares(arr)
     top = float(sq.max())
-    if not (_TINY <= top < math.inf or not np.any(arr)):
-        word = "overflow" if top == math.inf else "underflow"
+    if s != 1.0 or not math.isfinite(top):
+        word = "underflow" if s > 1.0 else "overflow"
         raise ValueError(f"squared row norms {word} float64; rescale the matrix")
     in_band = sq >= top - tie_tol * max(1.0, top)
     rest = sq[~in_band]
@@ -269,11 +291,15 @@ def sufficient_m_twinest(mat: DenseMatrix, delta: float) -> int:
     report = compute_gap(mat)
     if math.isinf(report.gap):
         raise ValueError("recovery bound undefined: every row attains the maximum norm")
-    b = mat.array @ mat.array.T
+    # The ratio off_sq / gap^2 is scale-free; form it on s * A, where neither
+    # the fourth powers in off_sq nor gap^2 overflow.
+    s = _pow2_scale(mat.array)
+    scaled = s * mat.array
+    b = scaled @ scaled.T
     np.fill_diagonal(b, 0.0)
     off_sq = float(np.einsum("ij,ij->i", b, b).max())
     d = mat.rows
-    bound = 8.0 * math.log(2.0 * d / delta) / report.gap**2 * off_sq
+    bound = 8.0 * math.log(2.0 * d / delta) / (report.gap * s * s) ** 2 * off_sq
     return int(math.floor(bound)) + 1
 
 

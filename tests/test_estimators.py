@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoinf import (
@@ -93,33 +93,45 @@ def test_twinest_matvec_accounting():
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 8),
     cols=st.integers(1, 8),
-    exponent=st.integers(-100, 100),
+    power=st.one_of(
+        st.tuples(st.just(10.0), st.integers(-100, 100)),
+        st.tuples(st.just(2.0), st.integers(-560, 500)),
+    ),
     shape=st.sampled_from(["plain", "zero_row", "tied_rows", "zero_matrix"]),
     m=st.integers(3, 12),
 )
+@example(seed=0, rows=8, cols=4, power=(2.0, -540), shape="plain", m=6)
 @settings(max_examples=100)
-def test_twinest_row_exactness(seed, rows, cols, exponent, shape, m):
+def test_twinest_row_exactness(seed, rows, cols, power, shape, m):
     # Whatever row gets selected, the reported value is that row's exact
     # norm, so the estimate never exceeds the true norm -- also for tiny
     # or huge entries, zero rows, exact ties, one row or one column, and
     # for the columns when the method runs on the transpose.
     rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((rows, cols)) * 10.0**exponent
+    base = rng.standard_normal((rows, cols))
     i, j = rng.integers(rows, size=2)
     if shape == "zero_row":
-        arr[i] = 0.0
+        base[i] = 0.0
     elif shape == "tied_rows":
-        arr[i] = arr[j]
+        base[i] = base[j]
     elif shape == "zero_matrix":
-        arr[:] = 0.0
-    for lines, run in (
-        (arr, lambda method: METHODS[method](DenseMatrix(arr), m, RngStream(seed))),
-        (arr.T, lambda method: estimate_one_to_two(DenseMatrix(arr), method, m, RngStream(seed))),
+        base[:] = 0.0
+    radix, exponent = power
+    scale = radix**exponent
+    arr = base * scale
+    for lines, unscaled, run in (
+        (arr, base, lambda method: METHODS[method](DenseMatrix(arr), m, RngStream(seed))),
+        (arr.T, base.T, lambda method: estimate_one_to_two(DenseMatrix(arr), method, m, RngStream(seed))),
     ):
         exact = exact_two_to_inf(DenseMatrix(lines)).value
         for method in ("twinest", "twinest_pp"):
             est = run(method)
-            assert est.value == np.linalg.norm(lines[est.selected_row]), method
+            if radix == 2.0:
+                # Scaling by a power of two is exact, also where the squares
+                # of the scaled entries leave the normal range.
+                assert est.value == scale * np.linalg.norm(unscaled[est.selected_row]), method
+            else:
+                assert est.value == np.linalg.norm(lines[est.selected_row]), method
             assert est.value <= exact * (1 + 1e-12), method
 
 
@@ -417,9 +429,11 @@ def test_sufficient_m_matches_direct_formula():
 
 
 def test_sufficient_m_scale_invariant():
+    # At 2^260 the squared gap alone overflows; the bound is scale-free.
     mat = gen_gap_matrix(GapMatrixSpec(30, 30, 0.3, seed=8))
-    doubled = DenseMatrix(2.0 * mat.array)
-    assert sufficient_m_twinest(mat, 0.1) == sufficient_m_twinest(doubled, 0.1)
+    for scale in (2.0, 2.0**260):
+        scaled = DenseMatrix(scale * mat.array)
+        assert sufficient_m_twinest(mat, 0.1) == sufficient_m_twinest(scaled, 0.1)
 
 
 def test_sufficient_m_all_ties_rejected():
