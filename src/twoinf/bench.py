@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,73 +112,50 @@ def resolve_source(source) -> DenseMatrix:
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
-    """Run the campaign; returns records sorted by (method, budget, trial).
+    """Run the campaign; returns one record per job of its plan, in plan order.
 
-    Writes the CSV to ``cfg.out`` when set.  Each trial owns a fresh
-    operator and RNG stream (seed = base_seed + trial), so results do not
-    depend on the worker count.
+    The plan takes the methods as given, then the budgets, then the trials,
+    and the records are not sorted afterwards.  A budget below a method's
+    minimum is one diagnostic job (trial -1).  Writes the CSV to ``cfg.out``
+    when set.  Each trial owns a fresh operator and RNG stream
+    (seed = base_seed + trial), so results do not depend on the worker count.
     """
     mat = resolve_source(cfg.source)
     exact = exact_two_to_inf(mat).value
     if exact == 0.0:
         raise ValueError("exact norm of the source matrix is zero; relative error undefined")
 
-    def run_one(method: str, budget: int, trial: int, m: int) -> BenchRecord:
+    def run_one(job) -> BenchRecord:
+        method, budget, trial, m = job
+        if m is None:
+            return BenchRecord(method, budget, -1, cfg.base_seed, math.nan, exact, math.nan,
+                               0.0, 0, skipped=True)
         op = DenseMatrix(mat.array)
         rng = RngStream(cfg.base_seed + trial)
         start = time.perf_counter()
         est = METHODS[method](op, m, rng)
         wall_ms = (time.perf_counter() - start) * 1e3
         flops = method_flops(method, m, mat.rows, mat.cols) if cfg.include_flops else None
-        return BenchRecord(
-            method=method,
-            matvec_budget=budget,
-            trial=trial,
-            seed=cfg.base_seed + trial,
-            estimate=est.value,
-            exact=exact,
-            rel_error=abs(est.value - exact) / exact,
-            wall_ms=wall_ms,
-            matvecs_used=est.matvecs_used,
-            flops=flops,
-        )
+        return BenchRecord(method, budget, trial, cfg.base_seed + trial, est.value, exact,
+                           abs(est.value - exact) / exact, wall_ms, est.matvecs_used, flops)
 
-    runs = []
-    records = []
+    plan = []
     for method in cfg.methods:
         for budget in cfg.budgets:
             m = budget_to_samples(method, budget)
-            if m is None:
-                records.append(
-                    BenchRecord(
-                        method=method,
-                        matvec_budget=budget,
-                        trial=-1,
-                        seed=cfg.base_seed,
-                        estimate=math.nan,
-                        exact=exact,
-                        rel_error=math.nan,
-                        wall_ms=0.0,
-                        matvecs_used=0,
-                        flops=None,
-                        skipped=True,
-                    )
-                )
-            else:
-                runs.extend((method, budget, trial, m) for trial in range(cfg.trials))
+            trials = range(cfg.trials) if m is not None else (-1,)
+            plan.extend((method, budget, trial, m) for trial in trials)
 
     if cfg.workers == 1:
-        records.extend(run_one(*args) for args in runs)
+        records = list(map(run_one, plan))
     else:
         # Imported here: only a multi-worker run needs it, and importing it
         # (logging and queue come with it) costs resident memory.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records.extend(pool.map(lambda args: run_one(*args), runs))
+            records = list(pool.map(run_one, plan))
 
-    order = {name: k for k, name in enumerate(cfg.methods)}
-    records.sort(key=lambda r: (order[r.method], r.matvec_budget, r.trial))
     if cfg.out is not None:
         write_csv(records, cfg.out, cfg.include_walltime, cfg.include_flops)
     return records
@@ -297,48 +274,50 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _source_fields(value, flag: str, names: str) -> list[str]:
+    """The fields of a ``--gap``/``--tall`` value, from the flag or a config file."""
+    fields = _split_numbers(value) if isinstance(value, str) else list(value)
+    if len(fields) != len(names.split()):
+        raise ValueError(f"{flag} needs {names}, got {fields}")
+    return fields
+
+
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    file_opts = load_config_file(args.config) if args.config else {}
+    """Each option is its flag, else its config-file value, else its default.
 
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else file_opts.get(key)
+    The defaults are ``BenchConfig``'s field defaults; the CLI alone defaults
+    ``out`` to ``bench.csv`` and ``methods`` to every method.
+    """
+    opts = load_config_file(args.config) if args.config else {}
+    opts.update((key, value) for key, value in vars(args).items() if value is not None)
 
-    gap = pick(args.gap, "gap")
-    tall = pick(args.tall, "tall")
-    load = pick(args.load, "load")
-    base_seed = int(pick(args.seed, "seed") or 0)
+    def pick(key, parse, default):
+        return parse(opts[key]) if key in opts else default
 
-    chosen = [name for name, value in (("--gap", gap), ("--tall", tall), ("--load", load))
-              if value is not None]
+    base_seed = pick("seed", int, BenchConfig.base_seed)
+    chosen = [f"--{key}" for key in ("gap", "tall", "load") if key in opts]
     if len(chosen) != 1:
         raise ValueError(f"choose exactly one matrix source of --gap/--tall/--load, got {chosen or 'none'}")
-    if gap is not None:
-        fields = _split_numbers(gap) if isinstance(gap, str) else list(gap)
-        if len(fields) != 3:
-            raise ValueError(f"--gap needs D N DELTA, got {fields}")
-        source = GapMatrixSpec(int(fields[0]), int(fields[1]), float(fields[2]), base_seed)
-    elif tall is not None:
-        fields = _split_numbers(tall) if isinstance(tall, str) else list(tall)
-        if len(fields) != 2:
-            raise ValueError(f"--tall needs D N, got {fields}")
-        source = TallMatrixSpec(int(fields[0]), int(fields[1]), base_seed)
+    if "gap" in opts:
+        d, n, delta = _source_fields(opts["gap"], "--gap", "D N DELTA")
+        source = GapMatrixSpec(int(d), int(n), float(delta), base_seed)
+    elif "tall" in opts:
+        d, n = _source_fields(opts["tall"], "--tall", "D N")
+        source = TallMatrixSpec(int(d), int(n), base_seed)
     else:
-        source = load
-
-    methods = pick(args.methods, "methods")
-    budgets = pick(args.budgets, "budgets")
-    if budgets is None:
+        source = opts["load"]
+    if "budgets" not in opts:
         raise ValueError("no budgets given (flag --budgets or config key 'budgets')")
     return BenchConfig(
         source=source,
-        methods=tuple(m.strip() for m in methods.split(",")) if methods else tuple(METHODS),
-        budgets=tuple(int(b) for b in _split_numbers(budgets)),
-        trials=int(pick(args.trials, "trials") or 1),
+        methods=pick("methods", lambda v: tuple(m.strip() for m in v.split(",")), tuple(METHODS)),
+        budgets=tuple(int(b) for b in _split_numbers(opts["budgets"])),
+        trials=pick("trials", int, BenchConfig.trials),
         base_seed=base_seed,
-        out=pick(args.out, "out") or "bench.csv",
-        workers=int(pick(args.workers, "workers") or 1),
-        include_walltime=not _parse_flag(pick(args.no_walltime, "no_walltime")),
-        include_flops=_parse_flag(pick(args.flops, "flops")),
+        out=pick("out", str, "bench.csv"),
+        workers=pick("workers", int, BenchConfig.workers),
+        include_walltime=not pick("no_walltime", _parse_flag, not BenchConfig.include_walltime),
+        include_flops=pick("flops", _parse_flag, BenchConfig.include_flops),
     )
 
 

@@ -252,12 +252,13 @@ def estimate_one_to_two(a: LinearOp, method: str, m: int, rng: RngStream) -> Nor
     return METHODS[method](TransposedOp(a), m, rng)
 
 
-def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
+def compute_gap(mat) -> GapReport:
     """Gap between the largest and second-largest squared row norms.
 
-    Rows within ``tie_tol * max(1, M)`` of the maximum ``M`` count as
-    ties; the gap is measured from ``M`` down to the largest squared row
-    norm below the tie band.  If every row ties, the gap is ``inf``.
+    Rows within ``DEFAULT_TIE_TOL * M`` of the maximum ``M`` count as
+    ties; the band is relative, so it is the same at every scale.  The gap
+    is measured from ``M`` down to the largest squared row norm below the
+    band.  If every row ties, the gap is ``inf``.
     Raises where :func:`_sum_squares` would rescale, that is where the
     largest squared row norm of a nonzero matrix overflows or falls below
     ``_SQ_LOW``, and on non-finite entries: the report cannot hold them.
@@ -265,14 +266,12 @@ def compute_gap(mat, tie_tol: float = DEFAULT_TIE_TOL) -> GapReport:
     arr = mat.array if isinstance(mat, DenseMatrix) else np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"need a matrix with at least one row, got shape {arr.shape}")
-    if tie_tol < 0:
-        raise ValueError(f"tie tolerance must be non-negative, got {tie_tol}")
     sq, s = _sum_squares(arr)
     top = float(sq.max())
     if s != 1.0 or not math.isfinite(top):
         word = "underflow" if s > 1.0 else "overflow"
         raise ValueError(f"squared row norms {word} float64; rescale the matrix")
-    in_band = sq >= top - tie_tol * max(1.0, top)
+    in_band = sq >= top - DEFAULT_TIE_TOL * top
     rest = sq[~in_band]
     gap = math.inf if rest.size == 0 else float(top - rest.max())
     return GapReport(top, gap, [int(i) for i in np.flatnonzero(in_band)])

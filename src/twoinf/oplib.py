@@ -106,10 +106,6 @@ class DenseMatrix(LinearOp):
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
         return self.array.T @ y
 
-    def row_squared_norms(self) -> np.ndarray:
-        """Squared l2 norm of every row, by direct entry access (0 matvecs)."""
-        return np.einsum("ij,ij->i", self.array, self.array)
-
 
 class GramOp(LinearOp):
     """The symmetric PSD operator ``B = A A^T`` built from products with ``A``.

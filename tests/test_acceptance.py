@@ -309,7 +309,7 @@ def test_criterion_8_oracle_equivalence_against_brute_force():
 
         report = compute_gap(DenseMatrix(arr))
         top = norms_sq.max()
-        band = 1e-12 * max(1.0, top)
+        band = 1e-12 * top
         brute_ties = [int(i) for i in np.flatnonzero(norms_sq >= top - band)]
         below = norms_sq[norms_sq < top - band]
         brute_gap = math.inf if below.size == 0 else top - below.max()

@@ -11,6 +11,7 @@ import pytest
 import twoinf
 from twoinf import GapMatrixSpec, TallMatrixSpec, save_matrix
 from twoinf.bench import (
+    METHODS,
     BenchConfig,
     BenchRecord,
     budget_to_samples,
@@ -272,6 +273,23 @@ def test_cli_requires_exactly_one_source(capsys):
 def test_cli_rejects_missing_budgets(capsys):
     assert main(["--gap", "4", "4", "0.2"]) == 2
     assert "budgets" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_counts_and_empty_methods(tmp_path, monkeypatch, capsys):
+    # An explicit 0 or '' is an error, not a request for the default.
+    monkeypatch.chdir(tmp_path)
+    for flag, value, word in (("--trials", "0", "trials"), ("--workers", "0", "workers"),
+                              ("--methods", "", "unknown method")):
+        assert main(["--gap", "8", "8", "0.2", "--budgets", "10", flag, value]) == 2, flag
+        assert word in capsys.readouterr().err, flag
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_defaults_are_bench_config_defaults():
+    args = build_parser().parse_args(["--gap", "8", "8", "0.2", "--budgets", "10"])
+    assert config_from_args(args) == BenchConfig(
+        GapMatrixSpec(8, 8, 0.2, 0), tuple(METHODS), (10,), out="bench.csv"
+    )
 
 
 def test_cli_missing_load_file(tmp_path, capsys):

@@ -405,11 +405,6 @@ def test_compute_gap_rejects_unrepresentable_squared_norms():
             sufficient_m_twinest(mat, 0.1)
 
 
-def test_compute_gap_rejects_negative_tolerance():
-    with pytest.raises(ValueError, match="non-negative"):
-        compute_gap(DenseMatrix(np.eye(2)), tie_tol=-1e-3)
-
-
 def test_sufficient_m_diagonal_matrix_is_one():
     assert sufficient_m_twinest(DenseMatrix(np.diag([2.0, 1.0])), 0.05) == 1
 
@@ -429,9 +424,10 @@ def test_sufficient_m_matches_direct_formula():
 
 
 def test_sufficient_m_scale_invariant():
-    # At 2^260 the squared gap alone overflows; the bound is scale-free.
+    # At 2^260 the squared gap alone overflows; below unit scale the tie band
+    # must shrink with the norms.  The bound is scale-free.
     mat = gen_gap_matrix(GapMatrixSpec(30, 30, 0.3, seed=8))
-    for scale in (2.0, 2.0**260):
+    for scale in (2.0, 2.0**260, 2.0**-20, 2.0**-30):
         scaled = DenseMatrix(scale * mat.array)
         assert sufficient_m_twinest(mat, 0.1) == sufficient_m_twinest(scaled, 0.1)
 

@@ -21,7 +21,7 @@ from twoinf import (
 def test_gap_matrix_row_norm_layout():
     spec = GapMatrixSpec(rows=60, cols=40, gap=0.25, seed=5)
     mat = gen_gap_matrix(spec)
-    sq = mat.row_squared_norms()
+    sq = np.einsum("ij,ij->i", mat.array, mat.array)
     assert sq[0] == pytest.approx(1.25, rel=1e-12)
     assert sq[1] == pytest.approx(1.0, rel=1e-12)
     assert np.all(sq[2:] <= 1.0 + 1e-12)
@@ -51,7 +51,8 @@ def test_gap_matrix_uniform_levels_centered():
     # Mean of the 98 uniform row levels across 50 seeds.
     means = []
     for seed in range(50):
-        sq = gen_gap_matrix(GapMatrixSpec(100, 100, 0.1, seed=seed)).row_squared_norms()
+        a = gen_gap_matrix(GapMatrixSpec(100, 100, 0.1, seed=seed)).array
+        sq = np.einsum("ij,ij->i", a, a)
         means.append(sq[2:].mean())
     assert abs(np.mean(means) - 0.5) <= 0.05
 
