@@ -38,7 +38,6 @@ __all__ = [
     "run_bench",
     "summarize",
     "write_csv",
-    "load_config_file",
     "main",
 ]
 
@@ -59,8 +58,10 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
-        for name in self.methods:
+        for i, name in enumerate(self.methods):
             _cost_entry(name)  # raises on an unknown method
+            if name in self.methods[:i]:
+                raise ValueError(f"method {name!r} listed more than once")
         if not self.methods:
             raise ValueError("need at least one method")
         if not self.budgets:
@@ -210,114 +211,68 @@ def summarize(records) -> list[SummaryRow]:
 # command line
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value file mirroring the CLI flags; '#' starts a comment.
-
-    A key must name a CLI option other than ``--config``.
-    """
-    known = set(vars(build_parser().parse_args([]))) - {"config"}
-    opts = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; choose from {sorted(known)}")
-        opts[key] = value.strip()
-    return opts
-
-
-def _split_numbers(text: str) -> list[str]:
-    return text.replace(",", " ").split()
-
-
-def _parse_flag(value) -> bool:
-    """A ``store_true`` flag (True or None) or a config-file string, as a bool."""
-    if not isinstance(value, str):
-        return bool(value)
-    lowered = value.strip().lower()
-    if lowered in ("", "0", "false", "no", "off"):
-        return False
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The ``twoinf-bench`` parser; ``@PATH`` reads more arguments from a file.
+
+    An argument file holds ordinary flags, any number per line, and '#'
+    starts a comment.  Arguments are read in order and a later flag wins,
+    so ``@PATH --trials 3`` overrides the file's trial count.  The defaults
+    are ``BenchConfig``'s field defaults; the CLI alone defaults ``out`` to
+    ``bench.csv`` and ``methods`` to every method.
+    """
     p = argparse.ArgumentParser(
         prog="twoinf-bench",
         description="Benchmark matrix-free two-to-infinity norm estimators "
         "over matvec budgets and write per-trial relative errors as CSV.",
+        fromfile_prefix_chars="@",
     )
-    src = p.add_mutually_exclusive_group()
+    p.convert_arg_line_to_args = lambda line: line.split("#", 1)[0].split()
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gap", nargs=3, metavar=("D", "N", "DELTA"),
                      help="gap-controlled Gaussian matrix source")
     src.add_argument("--tall", nargs=2, metavar=("D", "N"),
                      help="tall low-rank Gaussian matrix source")
     src.add_argument("--load", metavar="PATH", help="binary matrix file source")
-    p.add_argument("--config", metavar="PATH",
-                   help="key=value config file; explicit flags override it")
-    p.add_argument("--methods", help=f"comma list from {', '.join(METHODS)}")
-    p.add_argument("--budgets", help="comma list of strictly increasing matvec budgets")
-    p.add_argument("--trials", type=int, help="trials per (method, budget)")
-    p.add_argument("--seed", type=int, help="base seed; trial t uses seed+t")
-    p.add_argument("--workers", type=int, help="parallel trial workers")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--no-walltime", action="store_true", default=None,
+    p.add_argument("--methods", default=",".join(METHODS),
+                   help=f"comma list from {', '.join(METHODS)}")
+    p.add_argument("--budgets", required=True,
+                   help="comma list of strictly increasing matvec budgets")
+    p.add_argument("--trials", type=int, default=BenchConfig.trials,
+                   help="trials per (method, budget)")
+    p.add_argument("--seed", type=int, default=BenchConfig.base_seed,
+                   help="base seed; trial t uses seed+t")
+    p.add_argument("--workers", type=int, default=BenchConfig.workers,
+                   help="parallel trial workers")
+    p.add_argument("--out", default="bench.csv", help="output CSV path")
+    p.add_argument("--no-walltime", dest="include_walltime", action="store_false",
+                   default=BenchConfig.include_walltime,
                    help="drop the wall_ms column for byte-identical replays")
-    p.add_argument("--flops", action="store_true", default=None,
+    p.add_argument("--flops", dest="include_flops", action="store_true",
+                   default=BenchConfig.include_flops,
                    help="append a coarse FLOP-count column")
     return p
 
 
-def _source_fields(value, flag: str, names: str) -> list[str]:
-    """The fields of a ``--gap``/``--tall`` value, from the flag or a config file."""
-    fields = _split_numbers(value) if isinstance(value, str) else list(value)
-    if len(fields) != len(names.split()):
-        raise ValueError(f"{flag} needs {names}, got {fields}")
-    return fields
-
-
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    """Each option is its flag, else its config-file value, else its default.
-
-    The defaults are ``BenchConfig``'s field defaults; the CLI alone defaults
-    ``out`` to ``bench.csv`` and ``methods`` to every method.
-    """
-    opts = load_config_file(args.config) if args.config else {}
-    opts.update((key, value) for key, value in vars(args).items() if value is not None)
-
-    def pick(key, parse, default):
-        return parse(opts[key]) if key in opts else default
-
-    base_seed = pick("seed", int, BenchConfig.base_seed)
-    chosen = [f"--{key}" for key in ("gap", "tall", "load") if key in opts]
-    if len(chosen) != 1:
-        raise ValueError(f"choose exactly one matrix source of --gap/--tall/--load, got {chosen or 'none'}")
-    if "gap" in opts:
-        d, n, delta = _source_fields(opts["gap"], "--gap", "D N DELTA")
-        source = GapMatrixSpec(int(d), int(n), float(delta), base_seed)
-    elif "tall" in opts:
-        d, n = _source_fields(opts["tall"], "--tall", "D N")
-        source = TallMatrixSpec(int(d), int(n), base_seed)
+    """The campaign a parsed ``twoinf-bench`` command line describes."""
+    if args.gap:
+        d, n, delta = args.gap
+        source = GapMatrixSpec(int(d), int(n), float(delta), args.seed)
+    elif args.tall:
+        d, n = args.tall
+        source = TallMatrixSpec(int(d), int(n), args.seed)
     else:
-        source = opts["load"]
-    if "budgets" not in opts:
-        raise ValueError("no budgets given (flag --budgets or config key 'budgets')")
+        source = args.load
     return BenchConfig(
         source=source,
-        methods=pick("methods", lambda v: tuple(m.strip() for m in v.split(",")), tuple(METHODS)),
-        budgets=tuple(int(b) for b in _split_numbers(opts["budgets"])),
-        trials=pick("trials", int, BenchConfig.trials),
-        base_seed=base_seed,
-        out=pick("out", str, "bench.csv"),
-        workers=pick("workers", int, BenchConfig.workers),
-        include_walltime=not pick("no_walltime", _parse_flag, not BenchConfig.include_walltime),
-        include_flops=pick("flops", _parse_flag, BenchConfig.include_flops),
+        methods=tuple(m.strip() for m in args.methods.split(",")),
+        budgets=args.budgets.replace(",", " ").split(),
+        trials=args.trials,
+        base_seed=args.seed,
+        out=args.out,
+        workers=args.workers,
+        include_walltime=args.include_walltime,
+        include_flops=args.include_flops,
     )
 
 

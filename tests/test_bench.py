@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,7 +19,6 @@ from twoinf.bench import (
     budget_to_samples,
     config_from_args,
     build_parser,
-    load_config_file,
     main,
     method_cost,
     method_flops,
@@ -81,6 +82,9 @@ def test_method_flops_model():
 def test_config_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0), methods=("nope",), budgets=(10,))
+    with pytest.raises(ValueError, match="'twinest' listed more than once"):
+        BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0),
+                    methods=("twinest", "twinest_pp", "twinest"), budgets=(10,))
 
 
 def test_config_rejects_bad_budgets():
@@ -244,7 +248,7 @@ def test_csv_seventeen_digit_floats(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI and config files
+# CLI and argument files
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -265,23 +269,39 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "mean_rel_error" in printed
 
 
-def test_cli_requires_exactly_one_source(capsys):
-    assert main(["--budgets", "10"]) == 2
-    assert "matrix source" in capsys.readouterr().err
+def usage_error(argv, capsys) -> str:
+    """The message of the argparse error that ``main(argv)`` exits 2 with."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
-def test_cli_rejects_missing_budgets(capsys):
-    assert main(["--gap", "4", "4", "0.2"]) == 2
-    assert "budgets" in capsys.readouterr().err
+def test_cli_requires_exactly_one_source(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = usage_error(["--budgets", "10"], capsys)
+    assert "one of the arguments --gap --tall --load is required" in err
+    err = usage_error(["--gap", "8", "8", "0.2", "--tall", "8", "8", "--budgets", "10"], capsys)
+    assert "argument --tall: not allowed with argument --gap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rejects_missing_budgets(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = usage_error(["--gap", "4", "4", "0.2"], capsys)
+    assert "the following arguments are required: --budgets" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_zero_counts_and_empty_methods(tmp_path, monkeypatch, capsys):
-    # An explicit 0 or '' is an error, not a request for the default.
+    # An explicit 0 or '' is an error, not a request for the default, and a
+    # repeated method would count its replays as independent trials.
     monkeypatch.chdir(tmp_path)
     for flag, value, word in (("--trials", "0", "trials"), ("--workers", "0", "workers"),
-                              ("--methods", "", "unknown method")):
-        assert main(["--gap", "8", "8", "0.2", "--budgets", "10", flag, value]) == 2, flag
-        assert word in capsys.readouterr().err, flag
+                              ("--methods", "", "unknown method"),
+                              ("--methods", "twinest,twinest", "'twinest' listed more than once")):
+        assert main(["--gap", "8", "8", "0.2", "--budgets", "10", flag, value]) == 2, value
+        assert word in capsys.readouterr().err, value
     assert list(tmp_path.iterdir()) == []
 
 
@@ -295,23 +315,23 @@ def test_cli_defaults_are_bench_config_defaults():
 def test_cli_missing_load_file(tmp_path, capsys):
     assert main(["--load", str(tmp_path / "gone.mat"), "--budgets", "10"]) == 2
     assert "gone.mat" in capsys.readouterr().err
+    # A missing argument file is a usage error that names the file.
+    assert "gone.args" in usage_error([f"@{tmp_path / 'gone.args'}"], capsys)
 
 
 def test_config_file_parsing(tmp_path):
-    cfg_file = tmp_path / "bench.cfg"
+    cfg_file = tmp_path / "bench.args"
     cfg_file.write_text(
         """
         # comment line
-        gap = 16 16 0.4
-        methods = twinest, twinest_pp
-        budgets = 9, 21, 31
-        trials = 2
-        seed = 11
-        no-walltime = true
+        --gap 16 16 0.4   # inline comment
+        --methods twinest,twinest_pp
+        --budgets 9,21,31 --trials 2
+        --seed 11
+        --no-walltime
         """
     )
-    args = build_parser().parse_args(["--config", str(cfg_file)])
-    cfg = config_from_args(args)
+    cfg = config_from_args(build_parser().parse_args([f"@{cfg_file}"]))
     assert cfg.source == GapMatrixSpec(16, 16, 0.4, 11)
     assert cfg.methods == ("twinest", "twinest_pp")
     assert cfg.budgets == (9, 21, 31)
@@ -321,11 +341,9 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_cli_flags_override_config_file(tmp_path):
-    cfg_file = tmp_path / "bench.cfg"
-    cfg_file.write_text("gap = 16 16 0.4\nbudgets = 9\ntrials = 2\nseed = 11\n")
-    args = build_parser().parse_args(
-        ["--config", str(cfg_file), "--trials", "5", "--budgets", "7,15"]
-    )
+    cfg_file = tmp_path / "bench.args"
+    cfg_file.write_text("--gap 16 16 0.4\n--budgets 9\n--trials 2\n--seed 11\n")
+    args = build_parser().parse_args([f"@{cfg_file}", "--trials", "5", "--budgets", "7,15"])
     cfg = config_from_args(args)
     assert cfg.trials == 5
     assert cfg.budgets == (7, 15)
@@ -337,21 +355,33 @@ def test_shipped_config_files_run(tmp_path):
     assert confs, "no config files under scripts/"
     for conf in confs:
         out = tmp_path / f"{conf.stem}.csv"
-        assert main(["--config", str(conf), "--trials", "1", "--out", str(out)]) == 0, conf.name
+        assert main([f"@{conf}", "--trials", "1", "--out", str(out)]) == 0, conf.name
         assert out.read_text().startswith("method,matvec_budget,trial,seed,"), conf.name
 
 
-def test_config_file_rejects_garbage(tmp_path):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("just some words\n")
-    with pytest.raises(ValueError, match="expected key=value"):
-        load_config_file(cfg_file)
-    # A misspelled key names no option; it must not be dropped silently.
-    cfg_file.write_text("gap = 8 8 0.2\nbudgets = 10\ntrails = 50\n")
-    with pytest.raises(ValueError, match=r"bad\.cfg:3: unknown key 'trails'"):
-        load_config_file(cfg_file)
-    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")]) == 2
-    assert not (tmp_path / "x.csv").exists()
+def test_config_file_rejects_garbage(tmp_path, monkeypatch, capsys):
+    # A bare word or a misspelled flag names no option; neither is dropped silently.
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "bad.args"
+    for garbage in ("just some words", "--trails 50"):
+        cfg_file.write_text(f"--gap 8 8 0.2\n--budgets 10\n{garbage}\n")
+        assert f"unrecognized arguments: {garbage}" in usage_error([f"@{cfg_file}"], capsys)
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_readme_commands_parse(monkeypatch):
+    # Every twoinf-bench command in README's sh blocks parses, run from the
+    # repo root so that the @scripts/*.conf examples find their files.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    blocks = re.findall(r"^```sh\n(.*?)^```", (root / "README.md").read_text(), re.S | re.M)
+    argvs = [shlex.split(line, comments=True)[1:]
+             for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("twoinf-bench ")]
+    for argv in argvs:
+        build_parser().parse_args(argv)
+    shipped = {f"@scripts/{conf.name}" for conf in (root / "scripts").glob("*.conf")}
+    assert shipped <= {argv[0] for argv in argvs}
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
