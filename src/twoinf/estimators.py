@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp
-from .sketch import RngStream, _hutchpp_split, hutchinson_diag, hutchpp_diag
+from .sketch import RngStream, _hutchpp_split, _require_finite, hutchinson_diag, hutchpp_diag
 
 __all__ = [
     "NormEstimate",
@@ -60,36 +60,51 @@ DEFAULT_TIE_TOL = 1e-12
 _SQ_LOW = np.finfo(np.float64).tiny * 2.0**53
 
 
-def _pow2_scale(arr: np.ndarray) -> float:
-    """The power of two that takes the largest ``|entry|`` into [0.5, 1).
+def _pow2_exponent(arr: np.ndarray) -> int:
+    """The ``e`` for which ``2^e`` takes the largest ``|entry|`` into [0.5, 1).
 
-    Scaling by it is exact, so a sum of squares out of the range
-    :func:`_sum_squares` forms directly can be formed on the scaled entries
-    and its square root scaled back.
+    Scaling by ``2^e`` with ``ldexp`` is exact, so a sum of squares out of
+    the range :func:`_sum_squares` forms directly can be formed on the scaled
+    entries and its square root scaled back.  ``2^e`` itself need not be a
+    float: for subnormal entries ``e`` exceeds 1023.
     """
-    return math.ldexp(1.0, -math.frexp(float(np.abs(arr).max()))[1])
+    return -math.frexp(float(np.abs(arr).max()))[1]
 
 
 def _squares(arr: np.ndarray):
     """Sum of squares of a vector, summed as numpy's vector 2-norm sums it,
-    or of each row of a matrix."""
-    return arr.dot(arr) if arr.ndim == 1 else np.einsum("ij,ij->i", arr, arr)
+    or of each row of a matrix.
+
+    Neither ``vdot`` nor ``einsum`` checks the floating-point flags, so a sum
+    that overflows is ``inf`` without a warning (``dot`` would warn).
+    """
+    return np.vdot(arr, arr) if arr.ndim == 1 else np.einsum("ij,ij->i", arr, arr)
 
 
 def _sum_squares(arr: np.ndarray):
-    """Sums of squares of ``arr`` (a vector, or each row) and their scale ``s``.
+    """Sums of squares of ``arr`` (a vector, or each row) and their exponent ``e``.
 
-    The sums are those of ``s * arr``.  ``s`` is 1 unless the largest sum
-    overflows or falls below ``_SQ_LOW``; then it is :func:`_pow2_scale` of
-    ``arr``.  So ``sqrt(sum) / s`` on ``2^k arr`` is ``2^k`` times its value
+    The sums are those of ``2^e arr``.  ``e`` is 0 unless the largest sum
+    overflows or falls below ``_SQ_LOW``; then it is :func:`_pow2_exponent`
+    of ``arr``.  So :func:`_norm` on ``2^k arr`` is ``2^k`` times its value
     on ``arr``, bit for bit, wherever that is a normal float.
     """
-    with np.errstate(over="ignore"):
-        sq = _squares(arr)
+    sq = _squares(arr)
     if _SQ_LOW <= (sq if arr.ndim == 1 else sq.max()) < math.inf:
-        return sq, 1.0
-    s = _pow2_scale(arr)
-    return _squares(s * arr), s
+        return sq, 0
+    e = _pow2_exponent(arr)
+    return _squares(np.ldexp(arr, e)), e
+
+
+def _norm(sq: float, e: int) -> float:
+    """``sqrt(sq)`` scaled back by ``2^-e``, for a sum from :func:`_sum_squares`.
+
+    Raises where the norm exceeds the float64 maximum.
+    """
+    try:
+        return math.ldexp(math.sqrt(sq), -e)
+    except OverflowError:
+        raise ValueError("the norm exceeds the float64 maximum; rescale the matrix") from None
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,7 @@ def _measure_argmax_row(a: LinearOp, diag: np.ndarray, before: int) -> NormEstim
     j = int(np.argmax(diag))
     e = np.zeros(a.rows)
     e[j] = 1.0
-    sq, s = _sum_squares(a.apply_transpose(e))
-    return NormEstimate(float(np.sqrt(sq) / s), j, a.matvec_count - before)
+    return NormEstimate(_norm(*_sum_squares(a.apply_transpose(e))), j, a.matvec_count - before)
 
 
 def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:
@@ -134,11 +148,12 @@ def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:
 
     Ties break to the smallest row index.  The squared norms come from
     :func:`_sum_squares`, which rescales by a power of two where they
-    overflow or underflow.
+    overflow or underflow.  Raises where the norm exceeds the float64
+    maximum.
     """
-    sq, s = _sum_squares(mat.array)
+    sq, e = _sum_squares(mat.array)
     j = int(np.argmax(sq))
-    return NormEstimate(float(np.sqrt(sq[j]) / s), j, 0)
+    return NormEstimate(_norm(sq[j], e), j, 0)
 
 
 def twinest(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -182,6 +197,40 @@ def rademacher_averaging(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     return NormEstimate(value, None, a.matvec_count - before)
 
 
+def _inf_dual(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """``||x||_inf`` (NaN if ``x`` holds one) and the l-infinity dual of ``x``.
+
+    The dual is the mean of signed basis vectors over the coordinates whose
+    ``|x_i|`` equals the norm exactly.  It has meaning only where the norm
+    is positive; callers test that first.
+    """
+    mag = np.abs(x)
+    i = mag.argmax()  # the first NaN, if any
+    top = float(mag[i])
+    members = mag == top
+    count = np.count_nonzero(members)
+    out = np.zeros(len(x))
+    if count == 1:
+        out[i] = math.copysign(1.0, x[i])
+    else:
+        out[members] = np.sign(x[members]) / count
+    return top, out
+
+
+def _two_dual(x: np.ndarray) -> np.ndarray | None:
+    """``x / ||x||_2``, or ``None`` for the zero vector.
+
+    Where :func:`_sum_squares` forms the sum on a rescaled copy, the copy is
+    normalized.  Any vector but the zero vector has a positive sum.
+    """
+    sq, e = _sum_squares(x)
+    if sq == 0.0:
+        return None
+    if e:
+        x = np.ldexp(x, e)
+    return x / math.sqrt(sq)
+
+
 def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     """Normalized dual of ``x`` under the l2 or l-infinity norm.
 
@@ -195,20 +244,17 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got ndim={x.ndim}")
-    if not np.any(x):
-        raise ValueError("dual vector of the zero vector is undefined")
     if p == 2:
-        sq, s = _sum_squares(x)
-        if s != 1.0:
-            x = s * x
-        return x / np.sqrt(sq)
-    if p == math.inf:
-        mag = np.abs(x)
-        members = mag == mag.max()
-        out = np.zeros_like(x)
-        out[members] = np.sign(x[members]) / members.sum()
-        return out
-    raise ValueError(f"p must be 2 or inf, got {p}")
+        out = _two_dual(x)
+        if out is not None:
+            return out
+    elif p == math.inf:
+        top, out = _inf_dual(x)
+        if top != 0.0:
+            return out
+    else:
+        raise ValueError(f"p must be 2 or inf, got {p}")
+    raise ValueError("dual vector of the zero vector is undefined")
 
 
 def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -220,25 +266,33 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     settle on a non-maximal row and stay there, so the returned value is
     not a consistent estimator.  If an iterate collapses to the zero
     vector (degenerate operators only), the best value seen so far is
-    returned with ``degenerate=True``.
+    returned with ``degenerate=True``.  Where products with the operator
+    overflow float64 into a NaN or a non-finite value, raises.
     """
     if m < 1:
         raise ValueError(f"iteration count must be positive, got {m}")
     before = a.matvec_count
     x = rng.normal(a.cols)
     best = 0.0
-    for _ in range(m):
-        ax = a.apply(x)
-        top = float(np.abs(ax).max())
-        if top == 0.0:
-            return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
-        best = max(best, top)
-        y = dual_vector(ax, math.inf)
-        aty = a.apply_transpose(y)
-        if not np.any(aty):
-            return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
-        x = dual_vector(aty, 2)
-    value = float(np.abs(a.apply(x)).max())
+    # The duals are dual_vector's own two steps, called directly: through
+    # dual_vector, each iteration would repeat its argument checks, the
+    # max of |A x| and a zero test on A^T y (BENCH_power.json has the cost).
+    # Overflow shows as a NaN product or a non-finite value, and both raise,
+    # so numpy's warnings on the way there are not needed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m):
+            ax = a.apply(x)
+            top, y = _inf_dual(ax)
+            if math.isnan(top):
+                _require_finite(ax)
+            if top == 0.0:
+                return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
+            best = max(best, top)
+            x = _two_dual(a.apply_transpose(y))
+            if x is None:
+                return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
+        value = float(np.abs(a.apply(x)).max())
+    _require_finite(value)
     return NormEstimate(value, None, a.matvec_count - before)
 
 
@@ -266,10 +320,10 @@ def compute_gap(mat) -> GapReport:
     arr = mat.array if isinstance(mat, DenseMatrix) else np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"need a matrix with at least one row, got shape {arr.shape}")
-    sq, s = _sum_squares(arr)
+    sq, e = _sum_squares(arr)
     top = float(sq.max())
-    if s != 1.0 or not math.isfinite(top):
-        word = "underflow" if s > 1.0 else "overflow"
+    if e or not math.isfinite(top):
+        word = "underflow" if e > 0 else "overflow"
         raise ValueError(f"squared row norms {word} float64; rescale the matrix")
     in_band = sq >= top - DEFAULT_TIE_TOL * top
     rest = sq[~in_band]
@@ -290,15 +344,15 @@ def sufficient_m_twinest(mat: DenseMatrix, delta: float) -> int:
     report = compute_gap(mat)
     if math.isinf(report.gap):
         raise ValueError("recovery bound undefined: every row attains the maximum norm")
-    # The ratio off_sq / gap^2 is scale-free; form it on s * A, where neither
+    # The ratio off_sq / gap^2 is scale-free; form it on 2^e A, where neither
     # the fourth powers in off_sq nor gap^2 overflow.
-    s = _pow2_scale(mat.array)
-    scaled = s * mat.array
+    e = _pow2_exponent(mat.array)
+    scaled = np.ldexp(mat.array, e)
     b = scaled @ scaled.T
     np.fill_diagonal(b, 0.0)
     off_sq = float(np.einsum("ij,ij->i", b, b).max())
     d = mat.rows
-    bound = 8.0 * math.log(2.0 * d / delta) / (report.gap * s * s) ** 2 * off_sq
+    bound = 8.0 * math.log(2.0 * d / delta) / math.ldexp(report.gap, 2 * e) ** 2 * off_sq
     return int(math.floor(bound)) + 1
 
 

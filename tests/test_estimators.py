@@ -39,11 +39,20 @@ def test_exact_two_to_inf_diagonal():
     est = exact_two_to_inf(DenseMatrix([[2.0, 0.0], [0.0, 1.0]]))
     assert est.value == 2.0
     assert est.selected_row == 0
-    # Squared norms that overflow or fall below the smallest normal float.
-    for scale in (1e200, 1e-170):
+    # Squared norms that overflow or fall below the smallest normal float,
+    # and subnormal entries, whose rescale factor 2^1059 is not a float.
+    for scale in (1e200, 1e-170, 2.0**-1060):
         est = exact_two_to_inf(DenseMatrix([[scale, 0.0], [0.0, scale / 2]]))
         assert est.value == scale
         assert est.selected_row == 0
+    est = exact_two_to_inf(DenseMatrix(np.array([[3.0, 4.0], [1.0, 0.0]]) * 2.0**-1060))
+    assert est.value == 5.0 * 2.0**-1060
+
+
+def test_exact_two_to_inf_rejects_unrepresentable_norm():
+    big = np.array([[1.5e308, 1.5e308], [1.0, 0.0]])  # norm 2.1e308
+    with pytest.raises(ValueError, match="exceeds the float64 maximum"):
+        exact_two_to_inf(DenseMatrix(big))
 
 
 def test_exact_two_to_inf_zero_matrix():
@@ -241,6 +250,9 @@ def test_dual_two_normalizes():
     unit = [2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)]
     for scale in (1e200, 1e-170):
         assert np.allclose(dual_vector([scale, scale / 2], 2), unit, rtol=1e-15, atol=0.0)
+    # Subnormal entries give the unit-scale dual bit for bit.
+    tiny = dual_vector(np.array([3.0, 4.0]) * 2.0**-1060, 2)
+    assert tiny.tobytes() == dual_vector([3.0, 4.0], 2).tobytes()
 
 
 def test_dual_inf_shares_ties():
@@ -271,6 +283,34 @@ def test_dual_vector_properties(seed, dim):
     assert np.abs(dinf).sum() == pytest.approx(1.0, abs=1e-12)
     support = np.flatnonzero(dinf)
     assert np.all(np.abs(x[support]) == np.abs(x).max())
+
+
+@given(
+    entries=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    exponent=st.integers(-1074, 1022),
+)
+@example(entries=[0, 0], exponent=0)
+@example(entries=[1, 0], exponent=-1074)
+@example(entries=[3, -3, 2], exponent=1022)
+@settings(max_examples=200)
+def test_dual_vector_bit_for_bit(entries, exponent):
+    # Small integers times 2^k are exact at every k here, subnormal ones
+    # included, so both duals are fixed bit for bit: the l-infinity dual is
+    # the signed mean over the maximal set, and the l2 dual is that of the
+    # unit-scale vector.  Only the zero vector raises.
+    v = np.array(entries, dtype=np.float64)
+    x = np.ldexp(v, exponent)
+    if not v.any():
+        for p in (2, math.inf):
+            with pytest.raises(ValueError, match="zero vector"):
+                dual_vector(x, p)
+        return
+    mag = np.abs(x)
+    members = mag == mag.max()
+    want = np.zeros(len(x))
+    want[members] = np.sign(x[members]) / members.sum()
+    assert dual_vector(x, math.inf).tobytes() == want.tobytes()
+    assert dual_vector(x, 2).tobytes() == (v / math.sqrt(v.dot(v))).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +358,97 @@ def test_adaptive_power_matvec_accounting():
 def test_adaptive_power_rejects_zero_iterations():
     with pytest.raises(ValueError, match="positive"):
         adaptive_power(DenseMatrix(np.eye(2)), 0, RngStream(0))
+
+
+def test_adaptive_power_subnormal_entries():
+    a = DenseMatrix(np.array([[3.0, 4.0], [1.0, 0.0]]) * 2.0**-1060)
+    for method in ("adaptive_power", "twinest"):
+        est = METHODS[method](a, 3, RngStream(0))
+        assert est.value == 5.0 * 2.0**-1060, method
+    # Equal rows of the smallest subnormal: each half of A^T y rounds to zero.
+    a = DenseMatrix(np.full((2, 4), 2.0**-1074))
+    est = adaptive_power(a, 3, RngStream(1))
+    assert est.degenerate and est.matvecs_used == 2
+    assert (est.value, est.degenerate, est.matvecs_used) == _reference_power(a, 3, RngStream(1))
+
+
+def test_adaptive_power_overflowing_products():
+    # Products that overflow into NaN raise, where the selection of the
+    # dual's support would otherwise come out empty and read as degenerate.
+    g = np.random.default_rng(1).standard_normal((30, 100))
+    huge = DenseMatrix(g * (1e308 / np.abs(g).max()))
+    with pytest.raises(ValueError, match="overflow float64; rescale the operator"):
+        adaptive_power(huge, 10, RngStream(1))
+    # Without a NaN, the sum of squares of A^T y overflows and is rescaled:
+    # the answer stays right, and numpy does not warn.  Every row has the
+    # largest norm, so the row the iteration settles on does not matter.
+    h = np.random.default_rng(0).standard_normal((3, 400))
+    h = h / np.linalg.norm(h, axis=1)[:, None] * 1.2e308
+    est = adaptive_power(DenseMatrix(h), 10, RngStream(0))
+    assert est.value == pytest.approx(exact_two_to_inf(DenseMatrix(h)).value, rel=1e-12)
+    assert not est.degenerate
+    # A norm above the float64 maximum (2.1e308) cannot be returned.
+    with pytest.raises(ValueError, match="overflow float64; rescale the operator"):
+        adaptive_power(DenseMatrix([[1.5e308, 1.5e308]]), 3, RngStream(0))
+
+
+def _reference_power(a, m, rng):
+    """adaptive_power's iteration written with the public dual_vector."""
+    before = a.matvec_count
+    x = rng.normal(a.cols)
+    best = 0.0
+    for _ in range(m):
+        ax = a.apply(x)
+        top = float(np.abs(ax).max())
+        if top == 0.0:
+            return best, True, a.matvec_count - before
+        best = max(best, top)
+        aty = a.apply_transpose(dual_vector(ax, math.inf))
+        if not np.any(aty):
+            return best, True, a.matvec_count - before
+        x = dual_vector(aty, 2)
+    return float(np.abs(a.apply(x)).max()), False, a.matvec_count - before
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    shape=st.sampled_from(
+        ["plain", "tied_rows", "identity", "rank_one", "zero_matrix", "later_tie"]
+    ),
+    exponent=st.integers(-560, 500),
+    m=st.integers(1, 12),
+)
+@example(seed=0, rows=2, cols=2, shape="later_tie", exponent=0, m=4)
+@example(seed=1, rows=6, cols=5, shape="plain", exponent=-530, m=8)
+@settings(max_examples=200)
+def test_adaptive_power_matches_reference_loop(seed, rows, cols, shape, exponent, m):
+    # Bit for bit, the same value, exit and matvec count as the reference
+    # loop.  Below about 2^-485 the 2-norm dual works on a rescaled copy.
+    # A^T y is never exactly zero, since y^T A x is the largest |A x|
+    # entry, so its degenerate exit is reached only through underflow
+    # (test_adaptive_power_subnormal_entries).
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((rows, cols))
+    i, j = rng.integers(rows, size=2)
+    if shape == "tied_rows":
+        base[i] = base[j]
+    elif shape == "identity":
+        base = np.eye(rows, cols)
+    elif shape == "rank_one":
+        base = np.outer(base[:, 0], rng.standard_normal(cols))
+    elif shape == "zero_matrix":
+        base[:] = 0.0
+    elif shape == "later_tie":
+        # Rows (1, *) and row 0 = e_0: once row 0 is selected, x = e_0 and
+        # every row ties, with different rows.
+        base[:, 0] = 1.0
+        base[0, 1:] = 0.0
+    arr = base * 2.0**exponent
+    est = adaptive_power(DenseMatrix(arr), m, RngStream(seed))
+    value, degenerate, matvecs = _reference_power(DenseMatrix(arr), m, RngStream(seed))
+    assert (est.value.hex(), est.degenerate, est.matvecs_used) == (value.hex(), degenerate, matvecs)
 
 
 # ---------------------------------------------------------------------------
