@@ -3,8 +3,8 @@
 Runs each configured method at each matvec budget for a number of
 independent trials, converts budgets to per-method sample counts through
 the inverse cost model so every method is compared at equal oracle cost,
-and writes one CSV row per (method, budget, trial).  Replays are
-byte-identical for a fixed config when the wall-time column is excluded.
+and returns one record per (method, budget, trial) for ``write_csv``.
+Replays are byte-identical for a fixed config without the wall-time column.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-# method_cost is not used here; callers import it from twoinf.bench too.
+# method_cost is not used here; perfbench's workloads.check imports it from here.
 from .estimators import (  # noqa: F401
     METHODS,
     _cost_entry,
@@ -41,6 +41,7 @@ __all__ = [
     "main",
 ]
 
+
 @dataclass(frozen=True)
 class BenchConfig:
     """One benchmark campaign: a matrix source, methods, budgets, trials."""
@@ -50,14 +51,16 @@ class BenchConfig:
     budgets: tuple[int, ...]
     trials: int = 1
     base_seed: int = 0
-    out: str | Path | None = None
     workers: int = 1
-    include_walltime: bool = True
-    include_flops: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(self.budgets))
+        named = [("budgets", b) for b in self.budgets]
+        named += [(name, getattr(self, name)) for name in ("trials", "base_seed", "workers")]
+        for name, value in named:
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: {value!r} is not an integer")
         for i, name in enumerate(self.methods):
             _cost_entry(name)  # raises on an unknown method
             if name in self.methods[:i]:
@@ -89,7 +92,7 @@ class BenchRecord:
     rel_error: float
     wall_ms: float
     matvecs_used: int
-    flops: float | None = None
+    flops: float = math.nan
     skipped: bool = False
 
 
@@ -117,9 +120,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
 
     The plan takes the methods as given, then the budgets, then the trials,
     and the records are not sorted afterwards.  A budget below a method's
-    minimum is one diagnostic job (trial -1).  Writes the CSV to ``cfg.out``
-    when set.  Each trial owns a fresh operator and RNG stream
-    (seed = base_seed + trial), so results do not depend on the worker count.
+    minimum is one diagnostic job (trial -1).  Writes no file.  Each trial
+    owns a fresh operator and RNG stream (seed = base_seed + trial), so
+    results do not depend on the worker count.
     """
     mat = resolve_source(cfg.source)
     exact = exact_two_to_inf(mat).value
@@ -136,9 +139,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
         start = time.perf_counter()
         est = METHODS[method](op, m, rng)
         wall_ms = (time.perf_counter() - start) * 1e3
-        flops = method_flops(method, m, mat.rows, mat.cols) if cfg.include_flops else None
         return BenchRecord(method, budget, trial, cfg.base_seed + trial, est.value, exact,
-                           abs(est.value - exact) / exact, wall_ms, est.matvecs_used, flops)
+                           abs(est.value - exact) / exact, wall_ms, est.matvecs_used,
+                           method_flops(method, m, mat.rows, mat.cols))
 
     plan = []
     for method in cfg.methods:
@@ -156,9 +159,6 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(run_one, plan))
-
-    if cfg.out is not None:
-        write_csv(records, cfg.out, cfg.include_walltime, cfg.include_flops)
     return records
 
 
@@ -180,7 +180,7 @@ def write_csv(records, path, include_walltime: bool = True, include_flops: bool 
         if include_walltime:
             row.append(fmt(r.wall_ms))
         if include_flops:
-            row.append(fmt(r.flops) if r.flops is not None else "nan")
+            row.append(fmt(r.flops))
         lines.append(",".join(row))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     An argument file holds ordinary flags, any number per line, and '#'
     starts a comment.  Arguments are read in order and a later flag wins,
     so ``@PATH --trials 3`` overrides the file's trial count.  The defaults
-    are ``BenchConfig``'s field defaults; the CLI alone defaults ``out`` to
-    ``bench.csv`` and ``methods`` to every method.
+    are ``BenchConfig``'s field defaults; the CLI alone has ``write_csv``'s
+    options and defaults ``methods`` to every method.
     """
     p = argparse.ArgumentParser(
         prog="twoinf-bench",
@@ -245,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel trial workers")
     p.add_argument("--out", default="bench.csv", help="output CSV path")
     p.add_argument("--no-walltime", dest="include_walltime", action="store_false",
-                   default=BenchConfig.include_walltime,
                    help="drop the wall_ms column for byte-identical replays")
     p.add_argument("--flops", dest="include_flops", action="store_true",
-                   default=BenchConfig.include_flops,
                    help="append a coarse FLOP-count column")
     return p
 
@@ -266,25 +264,22 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
     return BenchConfig(
         source=source,
         methods=tuple(m.strip() for m in args.methods.split(",")),
-        budgets=args.budgets.replace(",", " ").split(),
+        budgets=tuple(int(b) for b in args.budgets.replace(",", " ").split()),
         trials=args.trials,
         base_seed=args.seed,
-        out=args.out,
         workers=args.workers,
-        include_walltime=args.include_walltime,
-        include_flops=args.include_flops,
     )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        records = run_bench(cfg)
+        records = run_bench(config_from_args(args))
+        write_csv(records, args.out, args.include_walltime, args.include_flops)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {sum(not r.skipped for r in records)} records to {cfg.out}")
+    print(f"wrote {sum(not r.skipped for r in records)} records to {args.out}")
     skipped = [r for r in records if r.skipped]
     for r in skipped:
         print(f"note: {r.method} skipped at budget {r.matvec_budget} (below minimum cost)")

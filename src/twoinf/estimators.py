@@ -167,7 +167,7 @@ def twinest(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     non-maximal row.
     """
     before = a.matvec_count
-    return _measure_argmax_row(a, hutchinson_diag(GramOp(a), m, rng).values, before)
+    return _measure_argmax_row(a, hutchinson_diag(GramOp(a), m, rng), before)
 
 
 def twinest_pp(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -179,7 +179,7 @@ def twinest_pp(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     diagonal is exact and so is the recovered norm.
     """
     before = a.matvec_count
-    return _measure_argmax_row(a, hutchpp_diag(a, m, rng).values, before)
+    return _measure_argmax_row(a, hutchpp_diag(a, m, rng), before)
 
 
 def rademacher_averaging(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
@@ -193,7 +193,7 @@ def rademacher_averaging(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     """
     before = a.matvec_count
     diag = hutchinson_diag(GramOp(a), m, rng)
-    value = math.sqrt(max(0.0, float(np.max(diag.values))))
+    value = math.sqrt(max(0.0, float(np.max(diag))))
     return NormEstimate(value, None, a.matvec_count - before)
 
 
@@ -315,14 +315,13 @@ def compute_gap(mat) -> GapReport:
     band.  If every row ties, the gap is ``inf``.
     Raises where :func:`_sum_squares` would rescale, that is where the
     largest squared row norm of a nonzero matrix overflows or falls below
-    ``_SQ_LOW``, and on non-finite entries: the report cannot hold them.
+    ``_SQ_LOW``: the report cannot hold them.  A plain array is read as a
+    :class:`DenseMatrix`, which rejects empty and non-finite ones.
     """
-    arr = mat.array if isinstance(mat, DenseMatrix) else np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"need a matrix with at least one row, got shape {arr.shape}")
+    arr = (mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)).array
     sq, e = _sum_squares(arr)
     top = float(sq.max())
-    if e or not math.isfinite(top):
+    if e:
         word = "underflow" if e > 0 else "overflow"
         raise ValueError(f"squared row norms {word} float64; rescale the matrix")
     in_band = sq >= top - DEFAULT_TIE_TOL * top

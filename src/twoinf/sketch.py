@@ -11,15 +11,12 @@ reproduces the identical stream on every platform and every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .oplib import DeflatedGramOp, GramOp, LinearOp
 
 __all__ = [
     "RngStream",
-    "DiagEstimate",
     "hutchinson_diag",
     "thin_qr",
     "lowrank_diag",
@@ -82,29 +79,17 @@ def _probe_block(rng: RngStream, d: int, k: int) -> np.ndarray:
     return rng.rademacher(k * w).reshape(k, w)[:, :d].T
 
 
-def _require_finite(values: np.ndarray) -> None:
+def _require_finite(values: np.ndarray) -> np.ndarray:
     """Reject a non-finite result; from finite entries only overflowing products give one."""
     if not np.all(np.isfinite(values)):
         raise ValueError(
             "non-finite values: products with the operator overflow float64; "
             "rescale the operator"
         )
+    return values
 
 
-@dataclass(frozen=True)
-class DiagEstimate:
-    """Estimated diagonal of a square operator plus the sample count."""
-
-    values: np.ndarray
-    samples_used: int
-
-    def __post_init__(self):
-        if self.samples_used < 1:
-            raise ValueError(f"samples_used must be positive, got {self.samples_used}")
-        _require_finite(self.values)
-
-
-def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
+def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     """Monte Carlo estimate of the diagonal of a square operator.
 
     Averages ``x * (op x)`` over ``m`` independent Rademacher probes.
@@ -120,12 +105,12 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
     acc = np.zeros(op.rows)
-    # An overflowing product is reported by DiagEstimate's finiteness check.
+    # An overflowing product leaves a non-finite entry; _require_finite reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, m, _BLOCK):
             x = _probe_block(rng, op.rows, min(_BLOCK, m - start))
             acc += np.einsum("ij,ij->i", x, op.apply(x))
-    return DiagEstimate(acc / m, m)
+    return _require_finite(acc / m)
 
 
 def thin_qr(mat: np.ndarray) -> np.ndarray:
@@ -171,7 +156,7 @@ def _hutchpp_split(m: int, d: int) -> tuple[int, int]:
     return r, m - 2 * r
 
 
-def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
+def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     """Variance-reduced estimate of the diagonal of ``A A^T``.
 
     Splits the budget three ways: a Rademacher sketch ``S`` with
@@ -195,5 +180,4 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> DiagEstimate:
     _require_finite(image)
     q = thin_qr(image)
     low = lowrank_diag(a, q)
-    residual = hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng)
-    return DiagEstimate(low + residual.values, m)
+    return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

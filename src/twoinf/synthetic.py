@@ -101,8 +101,9 @@ def save_matrix(mat, path) -> None:
 
     All header fields are 64-bit little-endian unsigned integers; the
     payload is rows*cols little-endian float64 values in row-major order.
+    A plain array that is not a valid :class:`DenseMatrix` raises and writes nothing.
     """
-    arr = mat.array if isinstance(mat, DenseMatrix) else np.ascontiguousarray(mat, dtype=np.float64)
+    arr = (mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)).array
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1]))
         fh.write(arr.astype("<f8", copy=False).tobytes())

@@ -29,7 +29,14 @@ from twoinf import (
     twinest,
     twinest_pp,
 )
-from twoinf.bench import BenchConfig, budget_to_samples, method_cost, run_bench, summarize
+from twoinf.bench import (
+    BenchConfig,
+    budget_to_samples,
+    method_cost,
+    run_bench,
+    summarize,
+    write_csv,
+)
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -96,7 +103,6 @@ def _gap_means(gap: float, methods, budgets) -> dict:
         budgets=budgets,
         trials=200,
         base_seed=2026,
-        include_walltime=False,
     )
     return {
         (gap, row.method, row.matvec_budget): row.mean_rel_error
@@ -247,15 +253,13 @@ def test_criterion_7_determinism_and_matvec_honesty(tmp_path):
         budgets=(7, 20, 41),
         trials=3,
         base_seed=3,
-        include_walltime=False,
-        out=tmp_path / "one.csv",
     )
-    run_bench(cfg)
-    run_bench(replace(cfg, out=tmp_path / "two.csv"))
+    write_csv(run_bench(cfg), tmp_path / "one.csv", include_walltime=False)
+    write_csv(run_bench(cfg), tmp_path / "two.csv", include_walltime=False)
     replay_ok = (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
-    serial = run_bench(replace(cfg, out=None, workers=1))
-    parallel = run_bench(replace(cfg, out=None, workers=4))
+    serial = run_bench(replace(cfg, workers=1))
+    parallel = run_bench(replace(cfg, workers=4))
     strip = lambda r: replace(r, wall_ms=0.0)
     parallel_ok = [strip(r) for r in serial] == [strip(r) for r in parallel]
 
@@ -299,7 +303,7 @@ def test_criterion_8_oracle_equivalence_against_brute_force():
         # deflated diagonal estimate in the full-deflation branch
         m = 3 * min(d, n)
         est = hutchpp_diag(DenseMatrix(arr), m, RngStream(checked))
-        assert np.allclose(est.values, np.diag(gram), rtol=1e-8, atol=1e-8 * scale)
+        assert np.allclose(est, np.diag(gram), rtol=1e-8, atol=1e-8 * scale)
 
         # exact norm and gap against brute force
         norms_sq = (arr * arr).sum(axis=1)

@@ -34,7 +34,6 @@ SMALL = BenchConfig(
     budgets=(7, 20, 41),
     trials=3,
     base_seed=3,
-    include_walltime=False,
 )
 
 
@@ -105,15 +104,45 @@ def test_config_rejects_bad_counts():
         BenchConfig(source=src, methods=("twinest",), budgets=(10,), workers=0)
 
 
+def test_config_rejects_non_integer_counts():
+    # A float count is neither rounded nor left to fail later inside range().
+    src = GapMatrixSpec(4, 4, 0.2, 0)
+    for field, value in (("budgets", (10.7, 20.2)), ("budgets", (10, "20")),
+                         ("trials", 2.0), ("base_seed", 1.5), ("workers", 1.0)):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+            BenchConfig(**{"source": src, "methods": ("twinest",), "budgets": (10,),
+                           field: value})
+    cfg = BenchConfig(source=src, methods=("twinest",), budgets=(np.int64(10), 20))
+    assert cfg.budgets == (10, 20)
+
+
+def test_cli_rejects_non_integer_budgets(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--gap", "8", "8", "0.2", "--budgets", "10.5"]) == 2
+    assert "10.5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # running
 
 
 def test_run_bench_replay_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_bench(replace(SMALL, out=out1))
-    run_bench(replace(SMALL, out=out2))
+    write_csv(run_bench(SMALL), out1, include_walltime=False)
+    write_csv(run_bench(SMALL), out2, include_walltime=False)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_run_bench_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    records = run_bench(SMALL)
+    assert list(tmp_path.iterdir()) == []
+    # Every measured record carries the FLOP model, whether or not it is written.
+    for r in records:
+        if not r.skipped:
+            m = budget_to_samples(r.method, r.matvec_budget)
+            assert r.flops == method_flops(r.method, m, 40, 40)
 
 
 def test_run_bench_parallel_matches_serial():
@@ -224,15 +253,13 @@ def test_summarize_rejects_empty():
 
 
 def test_csv_columns_default(tmp_path):
-    cfg = replace(SMALL, out=tmp_path / "c.csv", include_walltime=True)
-    run_bench(cfg)
+    write_csv(run_bench(SMALL), tmp_path / "c.csv")
     header = (tmp_path / "c.csv").read_text().splitlines()[0]
     assert header == "method,matvec_budget,trial,seed,estimate,exact,rel_error,wall_ms"
 
 
 def test_csv_columns_with_flops_without_walltime(tmp_path):
-    cfg = replace(SMALL, out=tmp_path / "c.csv", include_flops=True)
-    run_bench(cfg)
+    write_csv(run_bench(SMALL), tmp_path / "c.csv", include_walltime=False, include_flops=True)
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0] == "method,matvec_budget,trial,seed,estimate,exact,rel_error,flops"
     assert len(lines) == 1 + len(SMALL.methods) * len(SMALL.budgets) * SMALL.trials
@@ -267,6 +294,14 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 * 2
     printed = capsys.readouterr().out
     assert "mean_rel_error" in printed
+
+
+def test_cli_writes_what_write_csv_writes(tmp_path):
+    argv = ["--gap", "20", "20", "0.3", "--budgets", "5,9,21", "--trials", "2", "--seed", "5"]
+    out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main([*argv, "--no-walltime", "--flops", "--out", str(out)]) == 0
+    write_csv(run_bench(config_from_args(build_parser().parse_args(argv))), want, False, True)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def usage_error(argv, capsys) -> str:
@@ -307,9 +342,8 @@ def test_cli_rejects_zero_counts_and_empty_methods(tmp_path, monkeypatch, capsys
 
 def test_cli_defaults_are_bench_config_defaults():
     args = build_parser().parse_args(["--gap", "8", "8", "0.2", "--budgets", "10"])
-    assert config_from_args(args) == BenchConfig(
-        GapMatrixSpec(8, 8, 0.2, 0), tuple(METHODS), (10,), out="bench.csv"
-    )
+    assert config_from_args(args) == BenchConfig(GapMatrixSpec(8, 8, 0.2, 0), tuple(METHODS), (10,))
+    assert (args.out, args.include_walltime, args.include_flops) == ("bench.csv", True, False)
 
 
 def test_cli_missing_load_file(tmp_path, capsys):
@@ -331,13 +365,14 @@ def test_config_file_parsing(tmp_path):
         --no-walltime
         """
     )
-    cfg = config_from_args(build_parser().parse_args([f"@{cfg_file}"]))
+    args = build_parser().parse_args([f"@{cfg_file}"])
+    cfg = config_from_args(args)
     assert cfg.source == GapMatrixSpec(16, 16, 0.4, 11)
     assert cfg.methods == ("twinest", "twinest_pp")
     assert cfg.budgets == (9, 21, 31)
     assert cfg.trials == 2
     assert cfg.base_seed == 11
-    assert cfg.include_walltime is False
+    assert args.include_walltime is False
 
 
 def test_cli_flags_override_config_file(tmp_path):

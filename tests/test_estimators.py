@@ -523,8 +523,13 @@ def test_compute_gap_all_ties_sentinel():
 
 
 def test_compute_gap_rejects_empty():
-    with pytest.raises(ValueError, match="at least one row"):
+    # A plain array is read as a DenseMatrix, which rejects what the report cannot hold.
+    with pytest.raises(ValueError, match="dimensions must be positive, got 0x3"):
         compute_gap(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="2-d"):
+        compute_gap(np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        compute_gap(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_compute_gap_rejects_unrepresentable_squared_norms():

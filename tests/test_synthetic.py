@@ -117,6 +117,21 @@ def test_save_accepts_plain_arrays(tmp_path):
     assert np.array_equal(load_matrix(path).array, arr)
 
 
+def test_save_rejects_what_load_rejects(tmp_path):
+    # Each of these used to be written, then refused by load_matrix (or, for
+    # the 1-d array, raise IndexError); now save raises first and writes nothing.
+    bad = {
+        "3d": (np.zeros((2, 3, 4)), "2-d"),
+        "nan": (np.array([[1.0, np.nan]]), "finite"),
+        "empty": (np.zeros((0, 3)), "positive"),
+        "1d": (np.ones(3), "2-d"),
+    }
+    for name, (arr, word) in bad.items():
+        with pytest.raises(ValueError, match=word):
+            save_matrix(arr, tmp_path / f"{name}.mat")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_matrix(tmp_path / "nope.mat")
