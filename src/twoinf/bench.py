@@ -51,13 +51,12 @@ class BenchConfig:
     budgets: tuple[int, ...]
     trials: int = 1
     base_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "budgets", tuple(self.budgets))
         named = [("budgets", b) for b in self.budgets]
-        named += [(name, getattr(self, name)) for name in ("trials", "base_seed", "workers")]
+        named += [("trials", self.trials), ("base_seed", self.base_seed)]
         for name, value in named:
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name}: {value!r} is not an integer")
@@ -75,8 +74,6 @@ class BenchConfig:
             raise ValueError(f"budgets must be strictly increasing, got {self.budgets}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -116,49 +113,35 @@ def resolve_source(source) -> DenseMatrix:
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
-    """Run the campaign; returns one record per job of its plan, in plan order.
+    """Run the campaign; returns its records in plan order and writes no file.
 
-    The plan takes the methods as given, then the budgets, then the trials,
-    and the records are not sorted afterwards.  A budget below a method's
-    minimum is one diagnostic job (trial -1).  Writes no file.  Each trial
-    owns a fresh operator and RNG stream (seed = base_seed + trial), so
-    results do not depend on the worker count.
+    The plan takes the methods as given, then the budgets, then the trials.
+    A budget below a method's minimum gives one diagnostic record (trial
+    -1).  Each trial owns a fresh operator and RNG stream (seed = base_seed
+    + trial), so its record equals the standalone ``METHODS`` call.
     """
     mat = resolve_source(cfg.source)
     exact = exact_two_to_inf(mat).value
     if exact == 0.0:
         raise ValueError("exact norm of the source matrix is zero; relative error undefined")
-
-    def run_one(job) -> BenchRecord:
-        method, budget, trial, m = job
-        if m is None:
-            return BenchRecord(method, budget, -1, cfg.base_seed, math.nan, exact, math.nan,
-                               0.0, 0, skipped=True)
-        op = DenseMatrix(mat.array)
-        rng = RngStream(cfg.base_seed + trial)
-        start = time.perf_counter()
-        est = METHODS[method](op, m, rng)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return BenchRecord(method, budget, trial, cfg.base_seed + trial, est.value, exact,
-                           abs(est.value - exact) / exact, wall_ms, est.matvecs_used,
-                           method_flops(method, m, mat.rows, mat.cols))
-
-    plan = []
+    records = []
     for method in cfg.methods:
         for budget in cfg.budgets:
             m = budget_to_samples(method, budget)
-            trials = range(cfg.trials) if m is not None else (-1,)
-            plan.extend((method, budget, trial, m) for trial in trials)
-
-    if cfg.workers == 1:
-        records = list(map(run_one, plan))
-    else:
-        # Imported here: only a multi-worker run needs it, and importing it
-        # (logging and queue come with it) costs resident memory.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(run_one, plan))
+            if m is None:
+                records.append(BenchRecord(method, budget, -1, cfg.base_seed, math.nan, exact,
+                                           math.nan, 0.0, 0, skipped=True))
+                continue
+            flops = method_flops(method, m, mat.rows, mat.cols)
+            for trial in range(cfg.trials):
+                seed = cfg.base_seed + trial
+                op, rng = DenseMatrix(mat.array), RngStream(seed)
+                start = time.perf_counter()
+                est = METHODS[method](op, m, rng)
+                wall_ms = (time.perf_counter() - start) * 1e3
+                records.append(BenchRecord(method, budget, trial, seed, est.value, exact,
+                                           abs(est.value - exact) / exact, wall_ms,
+                                           est.matvecs_used, flops))
     return records
 
 
@@ -241,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials per (method, budget)")
     p.add_argument("--seed", type=int, default=BenchConfig.base_seed,
                    help="base seed; trial t uses seed+t")
-    p.add_argument("--workers", type=int, default=BenchConfig.workers,
-                   help="parallel trial workers")
     p.add_argument("--out", default="bench.csv", help="output CSV path")
     p.add_argument("--no-walltime", dest="include_walltime", action="store_false",
                    help="drop the wall_ms column for byte-identical replays")
@@ -264,10 +245,11 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
     return BenchConfig(
         source=source,
         methods=tuple(m.strip() for m in args.methods.split(",")),
-        budgets=tuple(int(b) for b in args.budgets.replace(",", " ").split()),
+        # A word that is not a whole number reaches BenchConfig, which names the field.
+        budgets=tuple(int(b) if b.lstrip("+-").isdecimal() else b
+                      for b in args.budgets.replace(",", " ").split()),
         trials=args.trials,
         base_seed=args.seed,
-        workers=args.workers,
     )
 
 

@@ -36,9 +36,9 @@ class LinearOp(ABC):
     either direction: a block of k columns counts k.
 
     Instances are immutable after construction except for the counter,
-    which is a plain integer.  Do not share one instance across
-    concurrent workers; give each worker (each benchmark trial) its own
-    operator and merge counts from the returned estimates.
+    which is a plain integer and counts every product made on the
+    instance.  Give each estimate (each benchmark trial) its own operator
+    and sum counts from the returned estimates.
     """
 
     def __init__(self, rows: int, cols: int):

@@ -34,8 +34,8 @@ class RngStream:
     """Deterministic random stream keyed by a 64-bit seed.
 
     Backed by ``numpy.random.Philox`` (counter-based).  Streams with
-    distinct seeds are independent for practical purposes; a stream must
-    not be shared across concurrent workers.
+    distinct seeds are independent for practical purposes; a stream's
+    draws depend on every earlier draw, so give each estimate its own.
     """
 
     def __init__(self, seed: int):

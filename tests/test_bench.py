@@ -4,14 +4,24 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoinf
-from twoinf import GapMatrixSpec, TallMatrixSpec, save_matrix
+from twoinf import (
+    DenseMatrix,
+    GapMatrixSpec,
+    RngStream,
+    TallMatrixSpec,
+    gen_gap_matrix,
+    gen_tall_lowrank,
+    save_matrix,
+)
 from twoinf.bench import (
     METHODS,
     BenchConfig,
@@ -100,15 +110,13 @@ def test_config_rejects_bad_counts():
     src = GapMatrixSpec(4, 4, 0.2, 0)
     with pytest.raises(ValueError, match="trials"):
         BenchConfig(source=src, methods=("twinest",), budgets=(10,), trials=0)
-    with pytest.raises(ValueError, match="workers"):
-        BenchConfig(source=src, methods=("twinest",), budgets=(10,), workers=0)
 
 
 def test_config_rejects_non_integer_counts():
     # A float count is neither rounded nor left to fail later inside range().
     src = GapMatrixSpec(4, 4, 0.2, 0)
     for field, value in (("budgets", (10.7, 20.2)), ("budgets", (10, "20")),
-                         ("trials", 2.0), ("base_seed", 1.5), ("workers", 1.0)):
+                         ("trials", 2.0), ("base_seed", 1.5)):
         with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
             BenchConfig(**{"source": src, "methods": ("twinest",), "budgets": (10,),
                            field: value})
@@ -119,7 +127,7 @@ def test_config_rejects_non_integer_counts():
 def test_cli_rejects_non_integer_budgets(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["--gap", "8", "8", "0.2", "--budgets", "10.5"]) == 2
-    assert "10.5" in capsys.readouterr().err
+    assert "budgets: '10.5' is not an integer" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -145,11 +153,61 @@ def test_run_bench_writes_no_file(tmp_path, monkeypatch):
             assert r.flops == method_flops(r.method, m, 40, 40)
 
 
-def test_run_bench_parallel_matches_serial():
-    serial = run_bench(replace(SMALL, workers=1))
-    parallel = run_bench(replace(SMALL, workers=4))
-    strip = lambda r: (r.method, r.matvec_budget, r.trial, r.seed, r.estimate, r.exact, r.rel_error, r.matvecs_used, r.skipped)
-    assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+@st.composite
+def campaigns(draw):
+    """A small gap, tall or loaded source with its array, and a config over it."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    kind = draw(st.sampled_from(["gap", "tall", "load"]))
+    rows = draw(st.integers(3 if kind == "tall" else 2, 12))
+    cols = draw(st.integers(2, rows - 1 if kind == "tall" else 12))
+    if kind == "gap":
+        source = GapMatrixSpec(rows, cols, draw(st.floats(0.01, 0.99)), seed)
+        arr = gen_gap_matrix(source).array
+    elif kind == "tall":
+        source = TallMatrixSpec(rows, cols, seed)
+        arr = gen_tall_lowrank(source).array
+    else:
+        source = None  # the test saves ``arr`` and points the config at the file
+        arr = RngStream(seed).normal((rows, cols))
+    methods = draw(st.lists(st.sampled_from(tuple(METHODS)), min_size=1, unique=True))
+    budgets = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    cfg = dict(source=source, methods=methods, budgets=sorted(budgets),
+               trials=draw(st.integers(1, 4)), base_seed=seed)
+    return cfg, arr
+
+
+@given(campaign=campaigns())
+@settings(deadline=None)
+def test_run_bench_properties(campaign):
+    kwargs, arr = campaign
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kwargs["source"] is None:
+            kwargs["source"] = tmp / "m.mat"
+            save_matrix(arr, kwargs["source"])
+        cfg = BenchConfig(**kwargs)
+        records = run_bench(cfg)
+        write_csv(records, tmp / "one.csv", include_walltime=False)
+        write_csv(run_bench(cfg), tmp / "two.csv", include_walltime=False)
+        assert (tmp / "one.csv").read_bytes() == (tmp / "two.csv").read_bytes()
+
+    plan = [(method, budget, trial) for method in cfg.methods for budget in cfg.budgets
+            for trial in (range(cfg.trials) if budget_to_samples(method, budget) is not None
+                          else (-1,))]
+    assert [(r.method, r.matvec_budget, r.trial) for r in records] == plan
+    assert all(r.skipped == (r.trial == -1) for r in records)
+
+    row_norms = np.linalg.norm(arr, axis=1)
+    for r in records:
+        if r.skipped:
+            continue
+        m = budget_to_samples(r.method, r.matvec_budget)
+        assert r.matvecs_used == method_cost(r.method, m) <= r.matvec_budget
+        if r.method in ("twinest", "twinest_pp"):
+            assert r.estimate <= r.exact * (1 + 1e-12)
+            assert np.min(np.abs(row_norms - r.estimate)) <= 1e-12 * r.estimate
+        est = METHODS[r.method](DenseMatrix(arr), m, RngStream(r.seed))
+        assert (est.value, est.matvecs_used) == (r.estimate, r.matvecs_used)
 
 
 def test_run_bench_matvec_honesty():
@@ -332,8 +390,7 @@ def test_cli_rejects_zero_counts_and_empty_methods(tmp_path, monkeypatch, capsys
     # An explicit 0 or '' is an error, not a request for the default, and a
     # repeated method would count its replays as independent trials.
     monkeypatch.chdir(tmp_path)
-    for flag, value, word in (("--trials", "0", "trials"), ("--workers", "0", "workers"),
-                              ("--methods", "", "unknown method"),
+    for flag, value, word in (("--trials", "0", "trials"), ("--methods", "", "unknown method"),
                               ("--methods", "twinest,twinest", "'twinest' listed more than once")):
         assert main(["--gap", "8", "8", "0.2", "--budgets", "10", flag, value]) == 2, value
         assert word in capsys.readouterr().err, value
@@ -401,6 +458,9 @@ def test_config_file_rejects_garbage(tmp_path, monkeypatch, capsys):
     for garbage in ("just some words", "--trails 50"):
         cfg_file.write_text(f"--gap 8 8 0.2\n--budgets 10\n{garbage}\n")
         assert f"unrecognized arguments: {garbage}" in usage_error([f"@{cfg_file}"], capsys)
+    # The same holds on the command line, for the removed --workers flag too.
+    argv = ["--gap", "8", "8", "0.2", "--budgets", "10", "--workers", "2"]
+    assert "unrecognized arguments: --workers 2" in usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 
