@@ -29,7 +29,8 @@ from .estimators import (  # noqa: F401
 )
 from .oplib import DenseMatrix
 from .sketch import RngStream
-from .synthetic import GapMatrixSpec, TallMatrixSpec, gen_gap_matrix, gen_tall_lowrank, load_matrix
+from .synthetic import (GapMatrixSpec, TallMatrixSpec, _require_integers, gen_gap_matrix,
+                        gen_tall_lowrank, load_matrix)
 
 __all__ = [
     "BenchConfig",
@@ -56,10 +57,7 @@ class BenchConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "budgets", tuple(self.budgets))
         named = [("budgets", b) for b in self.budgets]
-        named += [("trials", self.trials), ("base_seed", self.base_seed)]
-        for name, value in named:
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: {value!r} is not an integer")
+        _require_integers(named + [("trials", self.trials), ("base_seed", self.base_seed)])
         for i, name in enumerate(self.methods):
             _cost_entry(name)  # raises on an unknown method
             if name in self.methods[:i]:
@@ -117,8 +115,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
 
     The plan takes the methods as given, then the budgets, then the trials.
     A budget below a method's minimum gives one diagnostic record (trial
-    -1).  Each trial owns a fresh operator and RNG stream (seed = base_seed
-    + trial), so its record equals the standalone ``METHODS`` call.
+    -1).  Every trial runs on the source's one operator, isolated by its own
+    RNG stream (seed = base_seed + trial) and its own counter difference, so
+    its record equals the standalone ``METHODS`` call.
     """
     mat = resolve_source(cfg.source)
     exact = exact_two_to_inf(mat).value
@@ -135,9 +134,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
             flops = method_flops(method, m, mat.rows, mat.cols)
             for trial in range(cfg.trials):
                 seed = cfg.base_seed + trial
-                op, rng = DenseMatrix(mat.array), RngStream(seed)
+                rng = RngStream(seed)
                 start = time.perf_counter()
-                est = METHODS[method](op, m, rng)
+                est = METHODS[method](mat, m, rng)
                 wall_ms = (time.perf_counter() - start) * 1e3
                 records.append(BenchRecord(method, budget, trial, seed, est.value, exact,
                                            abs(est.value - exact) / exact, wall_ms,
@@ -232,22 +231,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _whole(word: str):
+    """``word`` as an int; any other word is kept, for the field's check to name."""
+    try:
+        return int(word)
+    except ValueError:
+        return word
+
+
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
     """The campaign a parsed ``twoinf-bench`` command line describes."""
     if args.gap:
         d, n, delta = args.gap
-        source = GapMatrixSpec(int(d), int(n), float(delta), args.seed)
+        try:
+            gap = float(delta)
+        except ValueError:
+            raise ValueError(f"gap: {delta!r} is not a number") from None
+        source = GapMatrixSpec(_whole(d), _whole(n), gap, args.seed)
     elif args.tall:
         d, n = args.tall
-        source = TallMatrixSpec(int(d), int(n), args.seed)
+        source = TallMatrixSpec(_whole(d), _whole(n), args.seed)
     else:
         source = args.load
     return BenchConfig(
         source=source,
         methods=tuple(m.strip() for m in args.methods.split(",")),
-        # A word that is not a whole number reaches BenchConfig, which names the field.
-        budgets=tuple(int(b) if b.lstrip("+-").isdecimal() else b
-                      for b in args.budgets.replace(",", " ").split()),
+        budgets=tuple(_whole(b) for b in args.budgets.replace(",", " ").split()),
         trials=args.trials,
         base_seed=args.seed,
     )

@@ -26,6 +26,16 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-10
 
 
+def _as_basis(basis, rows: int) -> np.ndarray:
+    """``basis`` as a float64 array; raises unless it is ``rows x r``."""
+    basis = np.asarray(basis, dtype=np.float64)
+    if basis.ndim != 2 or basis.shape[0] != rows:
+        raise ValueError(
+            f"basis must be {rows}xr for an operator with {rows} rows, got shape {basis.shape}"
+        )
+    return basis
+
+
 class LinearOp(ABC):
     """A ``rows x cols`` real linear operator accessed through products.
 
@@ -37,8 +47,8 @@ class LinearOp(ABC):
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
-    instance.  Give each estimate (each benchmark trial) its own operator
-    and sum counts from the returned estimates.
+    instance.  Estimates may share an operator: each reports its own
+    counter difference, so the counter holds the sum over them.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -87,8 +97,7 @@ class LinearOp(ABC):
 class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
-    ``entries`` is stored as a C-contiguous float64 array; row extraction
-    (the exact step of the norm estimators) is therefore contiguous.
+    ``entries`` is stored as a C-contiguous float64 array.
     """
 
     def __init__(self, entries):
@@ -137,12 +146,7 @@ class DeflatedGramOp(GramOp):
     """
 
     def __init__(self, inner: LinearOp, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] != inner.rows:
-            raise ValueError(
-                f"basis must be {inner.rows}xr for an operator with {inner.rows} rows, "
-                f"got shape {basis.shape}"
-            )
+        basis = _as_basis(basis, inner.rows)
         r = basis.shape[1]
         if r > 0:
             defect = np.abs(basis.T @ basis - np.eye(r)).max()

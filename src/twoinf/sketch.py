@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oplib import DeflatedGramOp, GramOp, LinearOp
+from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis
 
 __all__ = [
     "RngStream",
@@ -129,8 +129,6 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"need at most as many columns as rows, got {d}x{r}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("input to thin_qr must be finite")
-    if r == 0:
-        return mat.copy()
     return np.linalg.qr(mat, mode="reduced")[0]
 
 
@@ -141,12 +139,7 @@ def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
     ``i`` of ``Q``; forming ``A (A^T Q)`` as one block consumes exactly
     ``2 r`` matvecs.  An empty ``Q`` yields the zero vector at zero cost.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != a.rows:
-        raise ValueError(
-            f"basis must be {a.rows}xr for an operator with {a.rows} rows, "
-            f"got shape {q.shape}"
-        )
+    q = _as_basis(q, a.rows)
     return np.einsum("ij,ij->i", GramOp(a).apply(q), q)
 
 

@@ -33,6 +33,13 @@ _MAGIC = int.from_bytes(b"DMATRIX\x00", "little")
 _HEADER = struct.Struct("<4Q")
 
 
+def _require_integers(named) -> None:
+    """Raise, naming the field, at the first ``(name, value)`` that is not an integer."""
+    for name, value in named:
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class GapMatrixSpec:
     """Square-ish Gaussian test matrix with a controlled row-norm gap."""
@@ -43,6 +50,7 @@ class GapMatrixSpec:
     seed: int
 
     def __post_init__(self):
+        _require_integers([("rows", self.rows), ("cols", self.cols), ("seed", self.seed)])
         if self.rows < 2:
             raise ValueError(f"need at least 2 rows, got {self.rows}")
         if self.cols < 1:
@@ -60,6 +68,7 @@ class TallMatrixSpec:
     seed: int
 
     def __post_init__(self):
+        _require_integers([("rows", self.rows), ("cols", self.cols), ("seed", self.seed)])
         if not self.rows > self.cols >= 1:
             raise ValueError(
                 f"need rows > cols >= 1, got {self.rows}x{self.cols}"
@@ -84,8 +93,7 @@ def gen_gap_matrix(spec: GapMatrixSpec) -> DenseMatrix:
     c = np.empty(spec.rows)
     c[0] = 1.0 + spec.gap
     c[1] = 1.0
-    if spec.rows > 2:
-        c[2:] = rng.uniform(spec.rows - 2)
+    c[2:] = rng.uniform(spec.rows - 2)
     g *= (np.sqrt(c) / norms)[:, None]
     return DenseMatrix(g)
 

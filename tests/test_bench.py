@@ -32,6 +32,7 @@ from twoinf.bench import (
     main,
     method_cost,
     method_flops,
+    resolve_source,
     run_bench,
     summarize,
     write_csv,
@@ -125,9 +126,16 @@ def test_config_rejects_non_integer_counts():
 
 
 def test_cli_rejects_non_integer_budgets(tmp_path, monkeypatch, capsys):
+    # Every numeric word names its field, whether the spec or the config rejects it.
     monkeypatch.chdir(tmp_path)
-    assert main(["--gap", "8", "8", "0.2", "--budgets", "10.5"]) == 2
-    assert "budgets: '10.5' is not an integer" in capsys.readouterr().err
+    for argv, message in (
+        (["--gap", "8", "8", "0.2", "--budgets", "10.5"], "budgets: '10.5' is not an integer"),
+        (["--gap", "8", "8", "abc", "--budgets", "10"], "gap: 'abc' is not a number"),
+        (["--gap", "8.5", "8", "0.2", "--budgets", "10"], "rows: '8.5' is not an integer"),
+        (["--tall", "20", "x", "--budgets", "10"], "cols: 'x' is not an integer"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
     assert list(tmp_path.iterdir()) == []
 
 
@@ -186,7 +194,15 @@ def test_run_bench_properties(campaign):
             kwargs["source"] = tmp / "m.mat"
             save_matrix(arr, kwargs["source"])
         cfg = BenchConfig(**kwargs)
-        records = run_bench(cfg)
+        resolved = []
+
+        def keep(source):
+            resolved.append(resolve_source(source))
+            return resolved[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(twoinf.bench, "resolve_source", keep)
+            records = run_bench(cfg)
         write_csv(records, tmp / "one.csv", include_walltime=False)
         write_csv(run_bench(cfg), tmp / "two.csv", include_walltime=False)
         assert (tmp / "one.csv").read_bytes() == (tmp / "two.csv").read_bytes()
@@ -196,6 +212,10 @@ def test_run_bench_properties(campaign):
                           else (-1,))]
     assert [(r.method, r.matvec_budget, r.trial) for r in records] == plan
     assert all(r.skipped == (r.trial == -1) for r in records)
+    # Every trial runs on the one operator the campaign resolved, so its
+    # counter holds the products of all the records.
+    [op] = resolved
+    assert op.matvec_count == sum(r.matvecs_used for r in records)
 
     row_norms = np.linalg.norm(arr, axis=1)
     for r in records:

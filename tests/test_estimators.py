@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twoinf import (
     DenseMatrix,
     GapMatrixSpec,
+    LinearOp,
     RngStream,
     TransposedOp,
     adaptive_power,
@@ -496,6 +497,72 @@ def test_estimate_one_to_two_correct_against_brute_force():
     exact_cols = np.linalg.norm(a.array, axis=0).max()
     est = estimate_one_to_two(a, "twinest_pp", 30, RngStream(5))
     assert est.value == pytest.approx(exact_cols, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# a matrix-free operator: the input Jacobian of a small tanh network
+
+
+class TanhJacobian(LinearOp):
+    """``J = W2 diag(s) W1``, the Jacobian of ``x -> W2 tanh(W1 x + b)`` at ``x0``.
+
+    Products never form ``J``: ``_apply`` is a Jacobian-vector product and
+    ``_apply_transpose`` a vector-Jacobian product, each for a vector and for
+    a block of vectors stacked as columns.
+    """
+
+    def __init__(self, w1, b, w2, x0):
+        super().__init__(w2.shape[0], w1.shape[1])
+        self.w1, self.w2 = w1, w2
+        self.s = 1.0 - np.tanh(w1 @ x0 + b) ** 2
+
+    def _scale(self, h):
+        return self.s * h if h.ndim == 1 else self.s[:, None] * h
+
+    def _apply(self, x):
+        return self.w2 @ self._scale(self.w1 @ x)
+
+    def _apply_transpose(self, y):
+        return self.w1.T @ self._scale(self.w2.T @ y)
+
+    def dense(self):
+        return self.w2 @ (self.s[:, None] * self.w1)
+
+
+def _tanh_jacobian(seed, outputs=12, hidden=16, inputs=30):
+    """A network whose Jacobian has a clear largest row and a clear largest column."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal((hidden, inputs)) / math.sqrt(inputs)
+    w2 = rng.standard_normal((outputs, hidden)) / math.sqrt(hidden)
+    w1[:, 7] *= 3.0   # input 7 is the most sensitive feature
+    w2[5] *= 2.0      # output 5 is the most sensitive output
+    return TanhJacobian(w1, rng.standard_normal(hidden), w2, rng.standard_normal(inputs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_methods_agree_on_matrix_free_jacobian(seed):
+    jac = _tanh_jacobian(seed)
+    dense = DenseMatrix(jac.dense())
+    assert np.argmax(np.linalg.norm(dense.array, axis=1)) == 5
+    for name in METHODS:
+        for m in (3, 30, 99):  # 99 probes cross a 64-probe block boundary
+            free = METHODS[name](jac, m, RngStream(seed))
+            ref = METHODS[name](dense, m, RngStream(seed))
+            assert free.selected_row == ref.selected_row, (name, m)
+            assert free.matvecs_used == ref.matvecs_used, (name, m)
+            assert free.value == pytest.approx(ref.value, rel=1e-12), (name, m)
+
+
+def test_one_to_two_of_jacobian_is_largest_input_sensitivity():
+    # The one-to-two norm of J is its largest column norm: the sensitivity of
+    # the output to the most sensitive input.  At m = 36 the sketch has 12
+    # columns, the rank of J, so the deflated diagonal is exact.
+    for seed in range(3):
+        jac = _tanh_jacobian(seed)
+        column_norms = np.linalg.norm(jac.dense(), axis=0)
+        est = estimate_one_to_two(jac, "twinest_pp", 36, RngStream(seed))
+        assert est.selected_row == 7 == np.argmax(column_norms)
+        assert est.value == pytest.approx(column_norms.max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ from twoinf import (
 
 
 def test_gap_matrix_row_norm_layout():
-    spec = GapMatrixSpec(rows=60, cols=40, gap=0.25, seed=5)
-    mat = gen_gap_matrix(spec)
-    sq = np.einsum("ij,ij->i", mat.array, mat.array)
-    assert sq[0] == pytest.approx(1.25, rel=1e-12)
-    assert sq[1] == pytest.approx(1.0, rel=1e-12)
-    assert np.all(sq[2:] <= 1.0 + 1e-12)
-    assert np.all(sq[2:] >= 0.0)
+    for rows in (60, 2):
+        mat = gen_gap_matrix(GapMatrixSpec(rows=rows, cols=40, gap=0.25, seed=5))
+        sq = np.einsum("ij,ij->i", mat.array, mat.array)
+        assert len(sq) == rows
+        assert sq[0] == pytest.approx(1.25, rel=1e-12)
+        assert sq[1] == pytest.approx(1.0, rel=1e-12)
+        assert np.all(sq[2:] <= 1.0 + 1e-12)
+        assert np.all(sq[2:] >= 0.0)
 
 
 def test_gap_matrix_norm_and_gap():
@@ -64,6 +65,11 @@ def test_gap_spec_validation():
         GapMatrixSpec(5, 5, 0.0, seed=0)
     with pytest.raises(ValueError, match="gap"):
         GapMatrixSpec(5, 5, 1.0, seed=0)
+    for args, field in (((8.5, 8, 0.2, 0), "rows"), ((8, "8", 0.2, 0), "cols"),
+                        ((8, 8, 0.2, 1.0), "seed")):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+            GapMatrixSpec(*args)
+    assert GapMatrixSpec(np.int64(8), np.int32(8), 0.2, np.uint64(3)).rows == 8
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,10 @@ def test_tall_spec_validation():
         TallMatrixSpec(10, 10, seed=0)
     with pytest.raises(ValueError, match="rows > cols"):
         TallMatrixSpec(10, 0, seed=0)
+    for args, field in (((20.0, 3, 0), "rows"), ((20, 3.0, 0), "cols"), ((20, 3, "0"), "seed")):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+            TallMatrixSpec(*args)
+    assert TallMatrixSpec(np.int64(20), 3, 0).rows == 20
 
 
 # ---------------------------------------------------------------------------
