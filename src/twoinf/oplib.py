@@ -25,6 +25,14 @@ __all__ = [
 
 ORTHONORMALITY_TOL = 1e-10
 
+_F64 = np.dtype(np.float64)
+
+# Below this many entries a GEMV costs about as much as finding the one
+# nonzero entry of a vector and reading a row or column, or less: the
+# read's cost hardly depends on the size, and the two cross between
+# 120x120 and 160x160 (the crossover table in BENCH_rowread.json).
+_READ_MIN_ENTRIES = 20_000
+
 
 def _as_basis(basis, rows: int) -> np.ndarray:
     """``basis`` as a float64 array; raises unless it is ``rows x r``."""
@@ -41,15 +49,22 @@ class LinearOp(ABC):
 
     Subclasses implement ``_apply`` and ``_apply_transpose`` for a vector
     and for a block of vectors stacked as columns; the public methods
-    validate dimensions and maintain the matvec counter.  The counter is
-    monotone non-decreasing and increments by exactly one per product, in
-    either direction: a block of k columns counts k.
+    validate the shapes that go in and come out, and maintain the matvec
+    counter.  The counter is monotone non-decreasing and increments by
+    exactly one per product, in either direction: a block of k columns
+    counts k.
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
     instance.  Estimates may share an operator: each reports its own
     counter difference, so the counter holds the sum over them.
     """
+
+    # Whether results are read as float64 and their shapes checked.  The
+    # operators of this module give float64 results of the right shapes by
+    # construction and skip the check: it costs about 0.3 us a product,
+    # against about 2 us for a whole 2x2 one (BENCH_rowread.json).
+    _check_results = True
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -65,24 +80,39 @@ class LinearOp(ABC):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``A x``; a ``cols x k`` block ``X`` gives ``A X`` and counts k matvecs."""
-        x = np.asarray(x, dtype=np.float64)
-        self._count("apply", x, self.cols)
-        return self._apply(x)
+        return self._product("apply", self._apply, x, self.cols, self.rows)
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         """Return ``A^T y``; a ``rows x k`` block ``Y`` gives ``A^T Y`` and counts k matvecs."""
-        y = np.asarray(y, dtype=np.float64)
-        self._count("apply_transpose", y, self.rows)
-        return self._apply_transpose(y)
+        return self._product("apply_transpose", self._apply_transpose, y, self.rows, self.cols)
 
-    def _count(self, name: str, x: np.ndarray, side: int) -> None:
-        """Check that ``x`` is a vector or block of length ``side``; count its columns."""
+    def _product(self, name: str, product, x, side: int, out_side: int) -> np.ndarray:
+        """Count and make one product, checking the shapes that go in and come out.
+
+        ``x`` must be a vector of length ``side`` or a ``side x k`` block,
+        which counts k matvecs.  Where ``_check_results`` is set, the
+        result, read as float64, must be a vector of length ``out_side`` or
+        an ``out_side x k`` block.
+        """
+        # The dtype object, not np.float64: looking the type up costs about
+        # 0.05-0.1 us a call, against about 2 us for a whole 2x2 product.
+        x = np.asarray(x, dtype=_F64)
         if x.ndim not in (1, 2) or x.shape[0] != side:
             raise ValueError(
                 f"{name} expects a vector of length {side} or a {side}xk block "
                 f"(operator is {self.rows}x{self.cols}), got shape {x.shape}"
             )
         self._matvecs += 1 if x.ndim == 1 else x.shape[1]
+        out = product(x)
+        if self._check_results:
+            out = np.asarray(out, dtype=_F64)
+            expected = (out_side, *x.shape[1:])
+            if out.shape != expected:
+                raise ValueError(
+                    f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
+                    f"returned shape {out.shape}, expected {expected}"
+                )
+        return out
 
     @abstractmethod
     def _apply(self, x: np.ndarray) -> np.ndarray: ...
@@ -97,8 +127,15 @@ class LinearOp(ABC):
 class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
-    ``entries`` is stored as a C-contiguous float64 array.
+    ``entries`` is stored as a C-contiguous float64 array.  A vector with
+    one nonzero entry ``c`` at ``j`` is answered by reading the matrix:
+    ``A (c e_j)`` is ``c A[:, j]`` and ``A^T (c e_j)`` is ``c A[j]``, the
+    values BLAS gives, since its sum adds the one rounded product to
+    signed zeros.  It still counts one matvec.  Matrices with fewer than
+    ``_READ_MIN_ENTRIES`` entries, blocks and every other vector go to BLAS.
     """
+
+    _check_results = False
 
     def __init__(self, entries):
         arr = np.ascontiguousarray(entries, dtype=np.float64)
@@ -108,12 +145,30 @@ class DenseMatrix(LinearOp):
             raise ValueError("matrix entries must all be finite")
         super().__init__(arr.shape[0], arr.shape[1])
         self.array = arr
+        self._reads = arr.size >= _READ_MIN_ENTRIES
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._reads and x.ndim == 1 and np.count_nonzero(x) == 1:
+            j = np.abs(x).argmax()
+            return _scaled(self.array[:, j], x[j])
         return self.array @ x
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        if self._reads and y.ndim == 1 and np.count_nonzero(y) == 1:
+            i = np.abs(y).argmax()
+            return _scaled(self.array[i], y[i])
         return self.array.T @ y
+
+
+def _scaled(v: np.ndarray, c: np.float64) -> np.ndarray:
+    """``c v`` as a new array, its zeros ``+0.0`` as BLAS's sums give them.
+
+    BLAS's forward product can keep ``-0.0`` where ``c A[i, j]`` underflows;
+    the values are equal, and no estimator reads the sign of a zero.
+    """
+    out = v * c
+    out += 0.0
+    return out
 
 
 class GramOp(LinearOp):
@@ -124,6 +179,8 @@ class GramOp(LinearOp):
     two matvecs on it per column.  This is the one place that forms the
     product.  ``B`` is symmetric, so transpose application is the same map.
     """
+
+    _check_results = False
 
     def __init__(self, inner: LinearOp):
         super().__init__(inner.rows, inner.rows)
@@ -176,6 +233,8 @@ class TransposedOp(LinearOp):
     Running a row-norm estimator on ``TransposedOp(a)`` estimates the
     maximum column norm of ``a``, i.e. its one-to-two norm.
     """
+
+    _check_results = False
 
     def __init__(self, inner: LinearOp):
         super().__init__(inner.cols, inner.rows)

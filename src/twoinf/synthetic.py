@@ -51,6 +51,8 @@ class GapMatrixSpec:
 
     def __post_init__(self):
         _require_integers([("rows", self.rows), ("cols", self.cols), ("seed", self.seed)])
+        if not isinstance(self.gap, (int, float, np.integer, np.floating)):
+            raise ValueError(f"gap: {self.gap!r} is not a number")
         if self.rows < 2:
             raise ValueError(f"need at least 2 rows, got {self.rows}")
         if self.cols < 1:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from twoinf import (
     twinest,
     twinest_pp,
 )
+from twoinf import oplib
 from twoinf.estimators import METHODS
 
 
@@ -563,6 +565,65 @@ def test_one_to_two_of_jacobian_is_largest_input_sensitivity():
         est = estimate_one_to_two(jac, "twinest_pp", 36, RngStream(seed))
         assert est.selected_row == 7 == np.argmax(column_norms)
         assert est.value == pytest.approx(column_norms.max(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# DenseMatrix answers one-nonzero vectors by reading; the estimates stay BLAS's
+
+
+class PlainGemv(LinearOp):
+    """A dense matrix whose every product is a plain BLAS call."""
+
+    def __init__(self, array):
+        super().__init__(*array.shape)
+        self.array = array
+
+    def _apply(self, x):
+        return self.array @ x
+
+    def _apply_transpose(self, y):
+        return self.array.T @ y
+
+
+def _same_estimates(arr, budgets, seed):
+    """Every estimator on ``DenseMatrix(arr)`` is bit-equal to the plain-GEMV double."""
+    def fields(est):
+        return est.value.hex(), est.selected_row, est.matvecs_used, est.degenerate
+
+    for m in budgets:
+        for name in METHODS:
+            for run in (lambda op: METHODS[name](op, m, RngStream(seed)),
+                        lambda op: estimate_one_to_two(op, name, m, RngStream(seed))):
+                assert fields(run(DenseMatrix(arr))) == fields(run(PlainGemv(arr))), (name, m)
+
+
+def test_reads_match_plain_gemv_on_gap_matrix():
+    arr = gen_gap_matrix(GapMatrixSpec(500, 500, 0.1, seed=2026)).array
+    assert arr.size >= oplib._READ_MIN_ENTRIES
+    _same_estimates(arr, (4, 99), seed=5)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    shape=st.sampled_from(["plain", "tied_rows", "identity", "zero_matrix"]),
+    exponent=st.integers(-560, 500),
+    m=st.integers(3, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_reads_match_plain_gemv_on_drawn_matrices(seed, rows, cols, shape, exponent, m):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((rows, cols))
+    if shape == "tied_rows":
+        base[rng.integers(rows)] = base[0]
+    elif shape == "identity":
+        base = np.eye(rows, cols)
+    elif shape == "zero_matrix":
+        base[:] = 0.0
+    # The size limit keeps BLAS for matrices this small; lift it here.
+    with mock.patch.object(oplib, "_READ_MIN_ENTRIES", 1):
+        _same_estimates(base * 2.0**exponent, (m,), seed)
 
 
 # ---------------------------------------------------------------------------

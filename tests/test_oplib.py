@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoinf import DeflatedGramOp, DenseMatrix, GramOp, TransposedOp, thin_qr
+from twoinf import (DeflatedGramOp, DenseMatrix, GramOp, LinearOp, RngStream, TransposedOp, oplib,
+                    thin_qr)
+from twoinf.estimators import METHODS
 
 
 def test_dense_apply_extracts_column():
@@ -191,3 +195,146 @@ def test_transposed_op_swaps_roles():
     y = rng.standard_normal(6)
     assert np.array_equal(at.apply_transpose(y), a.array @ y)
     assert a.matvec_count == 2
+
+
+# ---------------------------------------------------------------------------
+# the shapes operators return
+
+
+class _BrokenOp(LinearOp):
+    """A 6x4 matrix whose products break the operator contract in one way."""
+
+    def __init__(self, fault):
+        super().__init__(6, 4)
+        self.a = np.arange(24.0).reshape(6, 4)
+        self.fault = fault
+
+    def _apply(self, x):
+        out = self.a @ x
+        return out[:, :1] if self.fault == "first_column" and x.ndim == 2 else out
+
+    def _apply_transpose(self, y):
+        out = self.a.T @ y
+        if self.fault == "one_short":
+            return out[:-1]
+        return out[:, :1] if self.fault == "first_column" and y.ndim == 2 else out
+
+
+def test_products_of_the_wrong_shape_raise():
+    short = _BrokenOp("one_short")
+    assert short.apply(np.ones(4)).shape == (6,)
+    with pytest.raises(ValueError, match=r"^_BrokenOp \(6x4\): apply_transpose of shape "
+                                         r"\(6,\) returned shape \(3,\), expected \(4,\)$"):
+        short.apply_transpose(np.ones(6))
+    first = _BrokenOp("first_column")
+    assert first.apply(np.ones(4)).shape == (6,)
+    with pytest.raises(ValueError, match=r"^_BrokenOp \(6x4\): apply of shape \(4, 5\) "
+                                         r"returned shape \(6, 1\), expected \(6, 5\)$"):
+        first.apply(np.ones((4, 5)))
+    # The estimators meet the error instead of returning a wrong value;
+    # only the sampled ones send blocks.
+    for fault, names in (("one_short", list(METHODS)),
+                         ("first_column", ["twinest", "twinest_pp", "rademacher_averaging"])):
+        for name in names:
+            with pytest.raises(ValueError, match="returned shape"):
+                METHODS[name](_BrokenOp(fault), 4, RngStream(0))
+
+
+def test_products_are_read_as_float64():
+    class ListOp(LinearOp):
+        def _apply(self, x):
+            return [float(v) for v in 2 * x]
+
+        def _apply_transpose(self, y):
+            return (3 * y).astype(np.float32)
+
+    op = ListOp(2, 2)
+    out = op.apply(np.array([1.0, 2.0]))
+    assert out.dtype == np.float64 and np.array_equal(out, [2.0, 4.0])
+    assert op.apply_transpose(np.ones(2)).dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# products with a one-nonzero vector read the matrix
+
+
+def _special_matrix(seed, rows, cols):
+    """Gaussian entries with signed zeros, subnormals and entries near 1e300 mixed in."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols))
+    kind = rng.integers(5, size=(rows, cols))
+    a[kind == 1] = 0.0
+    a[kind == 2] = -0.0
+    a[kind == 3] *= 1e-310
+    a[kind == 4] *= 1e300
+    return a
+
+
+def _zeros_unsigned(v):
+    return np.where(v == 0.0, 0.0, v).tobytes()
+
+
+def _check_products(op, c, j, i):
+    """``op`` against BLAS on ``c e_j``, ``c e_i`` and inputs that must go to BLAS."""
+    a = op.array.copy()
+    count = op.matvec_count
+    for product, m, k in ((op.apply, a, j), (op.apply_transpose, a.T, i)):
+        v = np.zeros(m.shape[1])
+        v[k] = c
+        with np.errstate(all="ignore"):
+            # The read: the same values, the same bytes but for a zero's sign.
+            got, want = product(v), m @ v
+            count += 1
+            assert op.matvec_count == count
+            assert np.array_equal(got, want)
+            assert _zeros_unsigned(got) == _zeros_unsigned(want)
+            got[:] = 7.0  # a new array, not a view of the matrix
+            # A block, the zero vector and a two-nonzero vector go to BLAS.
+            others = [v[:, None], np.stack([v, -v], axis=1), np.zeros_like(v)]
+            if len(v) > 1:
+                others.append(v.copy())
+                others[-1][(k + 1) % len(v)] = 0.5
+            for w in others:
+                assert product(w).tobytes() == (m @ w).tobytes()
+                count += 1 if w.ndim == 1 else w.shape[1]
+                assert op.matvec_count == count
+    assert op.array.tobytes() == a.tobytes()
+
+
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([1.0, -1.0, 1e-300, -3e200]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 40),
+       c=_COEFFICIENTS, j=st.integers(0, 39), i=st.integers(0, 39))
+@example(seed=0, rows=1, cols=40, c=-1.0, j=39, i=0)
+@example(seed=1, rows=40, cols=1, c=-3e200, j=0, i=17)
+@settings(max_examples=300, deadline=None)
+def test_one_nonzero_products_read_the_matrix(seed, rows, cols, c, j, i):
+    # The size limit keeps BLAS for matrices this small; lift it here.
+    with mock.patch.object(oplib, "_READ_MIN_ENTRIES", 1):
+        op = DenseMatrix(_special_matrix(seed, rows, cols))
+    _check_products(op, c, j % cols, i % rows)
+
+
+class _NoMatmul(np.ndarray):
+    def __matmul__(self, other):
+        raise AssertionError("a one-nonzero product went to BLAS")
+
+
+@pytest.mark.parametrize("shape", [(1, 20_000), (20_000, 1), (150, 150), (2000, 50)])
+def test_one_nonzero_products_read_at_the_size_limit(shape):
+    op = DenseMatrix(_special_matrix(3, *shape))
+    assert op.array.size >= oplib._READ_MIN_ENTRIES
+    for c in (1.0, -3e200, 1e-300):
+        _check_products(op, c, shape[1] - 1, shape[0] // 2)
+    # The read makes no matmul: a matrix that refuses one still answers.
+    op.array = op.array.view(_NoMatmul)
+    e = np.zeros(shape[1])
+    e[0] = -2.0
+    assert np.array_equal(op.apply(e), -2.0 * op.array[:, 0])
+    e = np.zeros(shape[0])
+    e[-1] = 0.5
+    assert np.array_equal(op.apply_transpose(e), 0.5 * op.array[-1])

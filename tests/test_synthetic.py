@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,11 @@ def test_gap_spec_validation():
                         ((8, 8, 0.2, 1.0), "seed")):
         with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
             GapMatrixSpec(*args)
+    for gap in ("0.5", None, [0.5]):
+        with pytest.raises(ValueError, match=f"^gap: {re.escape(repr(gap))} is not a number$"):
+            GapMatrixSpec(5, 5, gap, 0)
     assert GapMatrixSpec(np.int64(8), np.int32(8), 0.2, np.uint64(3)).rows == 8
+    assert GapMatrixSpec(8, 8, np.float32(0.5), 0).gap == 0.5
 
 
 # ---------------------------------------------------------------------------
