@@ -52,7 +52,9 @@ class LinearOp(ABC):
     validate the shapes that go in and come out, and maintain the matvec
     counter.  The counter is monotone non-decreasing and increments by
     exactly one per product, in either direction: a block of k columns
-    counts k.
+    counts k.  A product's result belongs to the caller, which may
+    overwrite it (``hutchpp_diag`` factors its sketch image in place): an
+    operator returns a new array, never one it keeps.
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the

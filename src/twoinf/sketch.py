@@ -116,10 +116,28 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> np.ndarray:
 def thin_qr(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis whose range contains the range of ``mat``.
 
-    Householder QR (LAPACK) in reduced mode: the returned ``d x r`` factor
-    has orthonormal columns even when ``mat`` is rank deficient, in which
-    case the surplus columns are deterministic directions produced by the
-    trailing reflectors.
+    The ``Q`` of a Householder QR, as a new ``d x r`` float64 array; ``mat``
+    is left as it is.  The columns are orthonormal even when ``mat`` is rank
+    deficient, in which case the surplus columns are deterministic
+    directions produced by the trailing reflectors.
+
+    The QR is recursive and blocked (Elmroth and Gustavson, 2000).  The
+    columns are split in halves down to leaves of at most ``_LEAF``
+    columns, whose reflectors LAPACK computes; each leaf's compact-WY ``T``
+    comes from LAPACK's ``dlarft`` recurrence.  The trailing updates, the
+    joins of two ``T`` blocks and the forming of ``Q = E - V (T V1^T)`` are
+    matrix products, and ``R`` is never formed.  LAPACK's own
+    ``dgeqrf``/``dorgqr`` run their unblocked, matrix-vector code below 128
+    columns, where every call is short and OpenBLAS synchronises its
+    threads on each; that made the QR cost more than all the products of a
+    2000-row Hutch++ estimate.  At 40 to 133 columns this is about twice as
+    fast; at a few columns, or on a short side such as 50 x 50, its Python
+    steps make it slower by up to about 0.5 ms (``BENCH_qr.json``).
+
+    The reflectors are LAPACK's up to rounding, so ``Q`` and LAPACK's
+    reduced ``Q`` differ in rounding only on a full-rank input (their
+    projectors agree to 1e-12); the surplus columns of a rank-deficient
+    input differ entirely.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
@@ -129,7 +147,73 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"need at most as many columns as rows, got {d}x{r}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("input to thin_qr must be finite")
-    return np.linalg.qr(mat, mode="reduced")[0]
+    return _householder_q(mat.copy())
+
+
+# Columns of a leaf of the recursive QR.  LAPACK factors a leaf with
+# matrix-vector products, whose cost per column grows with the width;
+# narrower leaves add Python-level steps (12 to 24 measured alike on the
+# benchmark's sketches, BENCH_qr.json).
+_LEAF = 16
+
+# Rows per chunk of a trailing update.  A chunk's product is a temporary
+# small enough to reuse heap memory; one as large as the trailing block is
+# mapped afresh on each call, which took longer than the product itself.
+_ROWS = 256
+
+
+def _householder_q(work: np.ndarray) -> np.ndarray:
+    """``Q`` of a finite ``d x r`` array with ``r <= d``, as a new array.
+
+    ``work`` is overwritten with the Householder vectors: ``thin_qr`` passes
+    a copy, ``hutchpp_diag`` the sketch image it owns.
+    """
+    d, r = work.shape
+    t = _reflectors(work)
+    # Q = (I - V T V^T) E = E - V (T V1^T), with E the first r columns of
+    # the identity and V1 the top r x r block of V.
+    q = np.empty((d, r))
+    np.matmul(work, -t @ work[:r].T, out=q)
+    q[:r] += np.eye(r)
+    return q
+
+
+def _reflectors(a: np.ndarray) -> np.ndarray:
+    """Overwrite ``a`` (``m x n``, ``m >= n``) with the Householder vectors of its QR.
+
+    ``a`` ends as the unit lower trapezoidal ``V``, its ones and zeros
+    written out; ``R`` is not kept.  Returns the upper triangular ``T`` with
+    ``H_1 ... H_n = I - V T V^T``.
+    """
+    m, n = a.shape
+    if n <= _LEAF:
+        h, tau = np.linalg.qr(a, mode="raw")
+        a[...] = h.T
+        # LAPACK leaves R above the unit diagonal of V.
+        top = a[:n]
+        top[...] = np.tril(top, -1)
+        np.fill_diagonal(top, 1.0)
+        # LAPACK's dlarft recurrence: T[:i, i] = -tau_i T[:i, :i] V[:, :i]^T v_i.
+        g = a.T @ a
+        t = np.zeros((n, n))
+        for i in range(n):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+            t[i, i] = tau[i]
+        return t
+    k = n // 2
+    a1, a2 = a[:, :k], a[:, k:]
+    t1 = _reflectors(a1)
+    # Apply the first half's H^T = I - V1 T1^T V1^T to the second half.
+    w = t1.T @ (a1.T @ a2)
+    for start in range(0, m, _ROWS):
+        a2[start:start + _ROWS] -= a1[start:start + _ROWS] @ w
+    t2 = _reflectors(a2[k:])
+    a2[:k] = 0.0  # R's top right block, where V is zero
+    t = np.zeros((n, n))
+    t[:k, :k] = t1
+    t[k:, k:] = t2
+    t[:k, k:] = -t1 @ (a1[k:].T @ a2[k:]) @ t2
+    return t
 
 
 def lowrank_diag(a: LinearOp, q: np.ndarray) -> np.ndarray:
@@ -162,7 +246,8 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     The sketch width is capped at the operator side ``d``; surplus budget
     goes to residual samples (deflation cannot use more than ``d``
     directions).  The sketch is applied as one block; an image that
-    overflows float64 raises before the QR.
+    overflows float64 raises before the QR.  The image is this call's own
+    array, so the QR factors it in place instead of copying it.
     """
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
@@ -171,6 +256,6 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         image = GramOp(a).apply(_probe_block(rng, d, r))
     _require_finite(image)
-    q = thin_qr(image)
+    q = _householder_q(image)
     low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

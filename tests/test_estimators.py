@@ -7,24 +7,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoinf import (
+    DeflatedGramOp,
     DenseMatrix,
     GapMatrixSpec,
+    GramOp,
     LinearOp,
     RngStream,
+    TallMatrixSpec,
     TransposedOp,
     adaptive_power,
+    budget_to_samples,
     compute_gap,
     dual_vector,
     estimate_one_to_two,
     exact_two_to_inf,
     gen_gap_matrix,
+    gen_tall_lowrank,
     rademacher_averaging,
     sufficient_m_twinest,
+    thin_qr,
     twinest,
     twinest_pp,
 )
-from twoinf import oplib
+from twoinf import oplib, sketch
 from twoinf.estimators import METHODS
+from twoinf.sketch import _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +212,32 @@ def test_twinest_pp_matvec_accounting():
         est = twinest_pp(a, m, RngStream(m))
         assert est.matvecs_used == 2 * m + 1
         assert a.matvec_count == 2 * m + 1
+
+
+def _lapack_q(work):
+    return np.linalg.qr(work, mode="reduced")[0]
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_twinest_pp_selects_the_rows_of_a_lapack_basis(seed):
+    # The recursive QR moves Q by rounding, and the surplus columns of a
+    # rank-deficient sketch entirely (the 2000x50 matrix has rank 50 and
+    # sketches up to 80 wide); the estimates must not move.  Budgets of the
+    # tall and square workloads of the benchmark.
+    cases = (
+        (gen_tall_lowrank(TallMatrixSpec(2000, 50, seed)), (25, 61, 121, 241, 361, 481)),
+        (gen_gap_matrix(GapMatrixSpec(500, 500, 0.1, seed)), (10, 50, 100, 200, 400, 800)),
+    )
+    for mat, budgets in cases:
+        for budget in budgets:
+            m = budget_to_samples("twinest_pp", budget)
+            for run in (lambda op: twinest_pp(op, m, RngStream(seed)),
+                        lambda op: estimate_one_to_two(op, "twinest_pp", m, RngStream(seed))):
+                got = run(DenseMatrix(mat.array))
+                with mock.patch.object(sketch, "_householder_q", _lapack_q):
+                    want = run(DenseMatrix(mat.array))
+                assert (got.value.hex(), got.selected_row, got.matvecs_used) == (
+                    want.value.hex(), want.selected_row, want.matvecs_used), (budget, m)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +564,54 @@ class TanhJacobian(LinearOp):
         return self.w2 @ (self.s[:, None] * self.w1)
 
 
-def _tanh_jacobian(seed, outputs=12, hidden=16, inputs=30):
+class VectorOnlyJacobian(TanhJacobian):
+    """The same Jacobian with products written for vectors only.
+
+    ``s * h`` scales a block along its columns instead of its rows; where the
+    block is as wide as the hidden layer, it broadcasts without an error.
+    """
+
+    def _scale(self, h):
+        return self.s * h
+
+
+def _tanh_jacobian(seed, outputs=12, hidden=16, inputs=30, kind=TanhJacobian):
     """A network whose Jacobian has a clear largest row and a clear largest column."""
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((hidden, inputs)) / math.sqrt(inputs)
     w2 = rng.standard_normal((outputs, hidden)) / math.sqrt(hidden)
     w1[:, 7] *= 3.0   # input 7 is the most sensitive feature
     w2[5] *= 2.0      # output 5 is the most sensitive output
-    return TanhJacobian(w1, rng.standard_normal(hidden), w2, rng.standard_normal(inputs))
+    return kind(w1, rng.standard_normal(hidden), w2, rng.standard_normal(inputs))
+
+
+def _check_operator(op, rng):
+    """Assert that ``op``'s products are one linear map and its transpose.
+
+    On probes drawn from the numpy generator ``rng``, within 1e-12 relative:
+    the adjoint identity ``Y^T (A X) == (A^T Y)^T X`` on blocks of the 64
+    columns the estimators probe with, and that such a block gives the
+    columns its 64 single vectors give, in both directions.
+    """
+    x = rng.standard_normal((op.cols, _BLOCK))
+    y = rng.standard_normal((op.rows, _BLOCK))
+    ax, aty = op.apply(x), op.apply_transpose(y)
+    lhs, rhs = y.T @ ax, aty.T @ x
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max(), "adjoint identity"
+    for block, probes, product in ((ax, x, op.apply), (aty, y, op.apply_transpose)):
+        columns = np.stack([product(p) for p in probes.T], axis=1)
+        assert np.abs(block - columns).max() <= 1e-12 * np.abs(columns).max(), "block and vectors"
+
+
+def test_operators_keep_the_product_contract():
+    rng = np.random.default_rng(0)
+    arr = rng.standard_normal((30, 20))
+    basis = thin_qr(rng.standard_normal((30, 5)))
+    for op in (DenseMatrix(arr), GramOp(DenseMatrix(arr)), DeflatedGramOp(DenseMatrix(arr), basis),
+               TransposedOp(DenseMatrix(arr)), _tanh_jacobian(0), _tanh_jacobian(1, hidden=64)):
+        _check_operator(op, rng)
+    with pytest.raises(AssertionError, match="adjoint identity|block and vectors"):
+        _check_operator(_tanh_jacobian(1, hidden=64, kind=VectorOnlyJacobian), rng)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoinf import (
@@ -221,14 +221,36 @@ def test_thin_qr_empty_basis_passthrough():
     assert q.shape == (5, 0)
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 20), r=st.integers(1, 6))
-@settings(max_examples=40)
-def test_thin_qr_range_containment_property(seed, d, r):
-    r = min(r, d)
-    mat = np.random.default_rng(seed).standard_normal((d, r))
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), width=st.integers(1, 140),
+       kind=st.sampled_from(["full", "deficient", "zero"]))
+@example(seed=0, d=1, width=1, kind="full")  # one row
+@example(seed=1, d=1, width=1, kind="zero")
+@example(seed=2, d=16, width=16, kind="full")  # one whole leaf
+@example(seed=3, d=300, width=17, kind="full")  # the first split
+@example(seed=4, d=200, width=133, kind="deficient")
+@example(seed=5, d=140, width=140, kind="full")
+@settings(max_examples=60)
+def test_thin_qr_range_containment_property(seed, d, width, kind):
+    # Widths up to 140 cross every leaf and split boundary of the recursion.
+    r = min(width, d)
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        mat = rng.standard_normal((d, r))
+    elif kind == "deficient":
+        k = int(rng.integers(r))  # rank k < r
+        mat = rng.standard_normal((d, k)) @ rng.standard_normal((k, r))
+    else:
+        mat = np.zeros((d, r))
+    before = mat.copy()
     q = thin_qr(mat)
-    assert np.abs(q.T @ q - np.eye(r)).max() <= 1e-10
-    assert np.linalg.norm(mat - q @ (q.T @ mat)) <= 1e-8 * np.linalg.norm(mat)
+    assert np.array_equal(mat, before)
+    assert q.dtype == np.float64 and q.shape == (d, r) and not np.shares_memory(q, mat)
+    assert np.abs(q.T @ q - np.eye(r)).max() <= 1e-13
+    assert np.linalg.norm(mat - q @ (q.T @ mat)) <= 1e-13 * np.linalg.norm(mat)
+    if kind == "full":
+        # Only rounding separates it from LAPACK's basis of the same range.
+        ref = np.linalg.qr(mat)[0]
+        assert np.abs(q @ q.T - ref @ ref.T).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
