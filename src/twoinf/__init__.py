@@ -11,31 +11,14 @@ row's norm exactly.  The benchmark harness in ``twoinf.bench`` (also the
 and diagonal-averaging baselines at matched matvec budgets.
 """
 
-# oplib, sketch and estimators are re-exported whole: their __all__ lists are
-# the one record of their public names (PEP 8's case for a wildcard import).
-from . import estimators, oplib, sketch
+# The four modules are re-exported whole: their __all__ lists are the one
+# record of their public names (PEP 8's case for a wildcard import).
+from . import estimators, oplib, sketch, synthetic
 from .oplib import *  # noqa: F403
 from .sketch import *  # noqa: F403
 from .estimators import *  # noqa: F403
-from .synthetic import (
-    GapMatrixSpec,
-    TallMatrixSpec,
-    gen_gap_matrix,
-    gen_tall_lowrank,
-    load_matrix,
-    save_matrix,
-)
+from .synthetic import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *oplib.__all__,
-    *sketch.__all__,
-    *estimators.__all__,
-    "GapMatrixSpec",
-    "TallMatrixSpec",
-    "gen_gap_matrix",
-    "gen_tall_lowrank",
-    "save_matrix",
-    "load_matrix",
-]
+__all__ = [*oplib.__all__, *sketch.__all__, *estimators.__all__, *synthetic.__all__]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp
+from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp, _as_dense
 from .sketch import RngStream, _hutchpp_split, _require_finite, hutchinson_diag, hutchpp_diag
 
 __all__ = [
@@ -149,9 +149,9 @@ def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:
     Ties break to the smallest row index.  The squared norms come from
     :func:`_sum_squares`, which rescales by a power of two where they
     overflow or underflow.  Raises where the norm exceeds the float64
-    maximum.
+    maximum.  A plain array is read as a :class:`DenseMatrix`.
     """
-    sq, e = _sum_squares(mat.array)
+    sq, e = _sum_squares(_as_dense(mat).array)
     j = int(np.argmax(sq))
     return NormEstimate(_norm(sq[j], e), j, 0)
 
@@ -318,7 +318,7 @@ def compute_gap(mat) -> GapReport:
     ``_SQ_LOW``: the report cannot hold them.  A plain array is read as a
     :class:`DenseMatrix`, which rejects empty and non-finite ones.
     """
-    arr = (mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)).array
+    arr = _as_dense(mat).array
     sq, e = _sum_squares(arr)
     top = float(sq.max())
     if e:
@@ -336,10 +336,12 @@ def sufficient_m_twinest(mat: DenseMatrix, delta: float) -> int:
     Evaluates ``8 log(2 d / delta) / gap^2`` times the squared maximum
     off-diagonal row norm of ``A A^T``, and returns the smallest integer
     strictly above it.  Forms ``A A^T`` densely, so this is meant for
-    test-scale matrices.  Undefined (raises) when every row ties.
+    test-scale matrices.  Undefined (raises) when every row ties.  A plain
+    array is read as a :class:`DenseMatrix`.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    mat = _as_dense(mat)
     report = compute_gap(mat)
     if math.isinf(report.gap):
         raise ValueError("recovery bound undefined: every row attains the maximum norm")

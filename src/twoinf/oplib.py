@@ -27,20 +27,16 @@ ORTHONORMALITY_TOL = 1e-10
 
 _F64 = np.dtype(np.float64)
 
-# Below this many entries a GEMV costs about as much as finding the one
-# nonzero entry of a vector and reading a row or column, or less: the
-# read's cost hardly depends on the size, and the two cross between
-# 120x120 and 160x160 (the crossover table in BENCH_rowread.json).
-_READ_MIN_ENTRIES = 20_000
-
 
 def _as_basis(basis, rows: int) -> np.ndarray:
-    """``basis`` as a float64 array; raises unless it is ``rows x r``."""
+    """``basis`` as a float64 array; raises unless it is a finite ``rows x r`` array."""
     basis = np.asarray(basis, dtype=np.float64)
     if basis.ndim != 2 or basis.shape[0] != rows:
         raise ValueError(
             f"basis must be {rows}xr for an operator with {rows} rows, got shape {basis.shape}"
         )
+    if not np.all(np.isfinite(basis)):
+        raise ValueError("basis entries must all be finite")
     return basis
 
 
@@ -56,17 +52,15 @@ class LinearOp(ABC):
     overwrite it (``hutchpp_diag`` factors its sketch image in place): an
     operator returns a new array, never one it keeps.
 
+    Every result is read as float64 and must have the shape the product
+    promises, whichever class made it: a short or misshapen result raises
+    instead of reaching an estimator.
+
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
     instance.  Estimates may share an operator: each reports its own
     counter difference, so the counter holds the sum over them.
     """
-
-    # Whether results are read as float64 and their shapes checked.  The
-    # operators of this module give float64 results of the right shapes by
-    # construction and skip the check: it costs about 0.3 us a product,
-    # against about 2 us for a whole 2x2 one (BENCH_rowread.json).
-    _check_results = True
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -92,9 +86,8 @@ class LinearOp(ABC):
         """Count and make one product, checking the shapes that go in and come out.
 
         ``x`` must be a vector of length ``side`` or a ``side x k`` block,
-        which counts k matvecs.  Where ``_check_results`` is set, the
-        result, read as float64, must be a vector of length ``out_side`` or
-        an ``out_side x k`` block.
+        which counts k matvecs.  The result, read as float64, must be a
+        vector of length ``out_side`` or an ``out_side x k`` block.
         """
         # The dtype object, not np.float64: looking the type up costs about
         # 0.05-0.1 us a call, against about 2 us for a whole 2x2 product.
@@ -105,15 +98,13 @@ class LinearOp(ABC):
                 f"(operator is {self.rows}x{self.cols}), got shape {x.shape}"
             )
         self._matvecs += 1 if x.ndim == 1 else x.shape[1]
-        out = product(x)
-        if self._check_results:
-            out = np.asarray(out, dtype=_F64)
-            expected = (out_side, *x.shape[1:])
-            if out.shape != expected:
-                raise ValueError(
-                    f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
-                    f"returned shape {out.shape}, expected {expected}"
-                )
+        out = np.asarray(product(x), dtype=_F64)
+        expected = (out_side, *x.shape[1:])
+        if out.shape != expected:
+            raise ValueError(
+                f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
+                f"returned shape {out.shape}, expected {expected}"
+            )
         return out
 
     @abstractmethod
@@ -129,15 +120,13 @@ class LinearOp(ABC):
 class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
-    ``entries`` is stored as a C-contiguous float64 array.  A vector with
-    one nonzero entry ``c`` at ``j`` is answered by reading the matrix:
-    ``A (c e_j)`` is ``c A[:, j]`` and ``A^T (c e_j)`` is ``c A[j]``, the
-    values BLAS gives, since its sum adds the one rounded product to
-    signed zeros.  It still counts one matvec.  Matrices with fewer than
-    ``_READ_MIN_ENTRIES`` entries, blocks and every other vector go to BLAS.
+    ``entries`` is stored as a C-contiguous float64 array.  At every size,
+    a vector with one nonzero entry ``c`` at ``j`` is answered by reading
+    the matrix: ``A (c e_j)`` is ``c A[:, j]`` and ``A^T (c e_j)`` is
+    ``c A[j]``, the values BLAS gives, since its sum adds the one rounded
+    product to signed zeros.  It still counts one matvec.  Blocks and
+    every other vector go to BLAS.
     """
-
-    _check_results = False
 
     def __init__(self, entries):
         arr = np.ascontiguousarray(entries, dtype=np.float64)
@@ -147,19 +136,23 @@ class DenseMatrix(LinearOp):
             raise ValueError("matrix entries must all be finite")
         super().__init__(arr.shape[0], arr.shape[1])
         self.array = arr
-        self._reads = arr.size >= _READ_MIN_ENTRIES
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._reads and x.ndim == 1 and np.count_nonzero(x) == 1:
+        if x.ndim == 1 and np.count_nonzero(x) == 1:
             j = np.abs(x).argmax()
             return _scaled(self.array[:, j], x[j])
         return self.array @ x
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        if self._reads and y.ndim == 1 and np.count_nonzero(y) == 1:
+        if y.ndim == 1 and np.count_nonzero(y) == 1:
             i = np.abs(y).argmax()
             return _scaled(self.array[i], y[i])
         return self.array.T @ y
+
+
+def _as_dense(mat) -> DenseMatrix:
+    """``mat`` itself if it is a :class:`DenseMatrix`, else a plain array read as one."""
+    return mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)
 
 
 def _scaled(v: np.ndarray, c: np.float64) -> np.ndarray:
@@ -182,8 +175,6 @@ class GramOp(LinearOp):
     product.  ``B`` is symmetric, so transpose application is the same map.
     """
 
-    _check_results = False
-
     def __init__(self, inner: LinearOp):
         super().__init__(inner.rows, inner.rows)
         self.inner = inner
@@ -198,10 +189,10 @@ class GramOp(LinearOp):
 class DeflatedGramOp(GramOp):
     """The residual operator ``x -> A A^T (I - Q Q^T) x``.
 
-    ``basis`` must have orthonormal columns (checked to 1e-10 on entry).
-    The projection ``x - Q (Q^T x)`` is plain dense arithmetic and costs
-    zero matvecs; the Gram application costs two on the wrapped operator.
-    An empty basis (r = 0) makes this identical to :class:`GramOp`.
+    ``basis`` must be finite, with orthonormal columns (checked to 1e-10
+    on entry).  The projection ``x - Q (Q^T x)`` is plain dense arithmetic
+    and costs zero matvecs; the Gram application costs two on the wrapped
+    operator.  An empty basis (r = 0) makes this identical to :class:`GramOp`.
     """
 
     def __init__(self, inner: LinearOp, basis: np.ndarray):
@@ -209,7 +200,9 @@ class DeflatedGramOp(GramOp):
         r = basis.shape[1]
         if r > 0:
             defect = np.abs(basis.T @ basis - np.eye(r)).max()
-            if defect > ORTHONORMALITY_TOL:
+            # Not "defect > tol": a NaN defect, which an overflowing Q^T Q can
+            # give, fails the test too.
+            if not defect <= ORTHONORMALITY_TOL:
                 raise ValueError(
                     f"basis columns are not orthonormal: max |Q^T Q - I| = {defect:.3e}"
                 )
@@ -235,8 +228,6 @@ class TransposedOp(LinearOp):
     Running a row-norm estimator on ``TransposedOp(a)`` estimates the
     maximum column norm of ``a``, i.e. its one-to-two norm.
     """
-
-    _check_results = False
 
     def __init__(self, inner: LinearOp):
         super().__init__(inner.cols, inner.rows)

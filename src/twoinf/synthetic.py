@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .oplib import DenseMatrix
+from .oplib import DenseMatrix, _as_dense
 from .sketch import RngStream
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "gen_tall_lowrank",
     "save_matrix",
     "load_matrix",
-    "FORMAT_VERSION",
 ]
 
 MATRIX_SEED_TAG = 0x9E3779B97F4A7C15
@@ -113,7 +112,7 @@ def save_matrix(mat, path) -> None:
     payload is rows*cols little-endian float64 values in row-major order.
     A plain array that is not a valid :class:`DenseMatrix` raises and writes nothing.
     """
-    arr = (mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)).array
+    arr = _as_dense(mat).array
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1]))
         fh.write(arr.astype("<f8", copy=False).tobytes())

@@ -512,3 +512,35 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("method,matvec_budget,trial,seed,")
+
+
+def test_replay_across_blas_thread_counts(tmp_path):
+    # Byte-identical replay holds for one BLAS thread count. Across counts,
+    # BLAS sums a GEMV or GEMM in another order, so the noisy readouts move
+    # in their last bits. The exact-row readouts of twinest and twinest_pp
+    # come from a product with one nonzero entry, which has one rounding;
+    # only a near-tie that rounding flips could move them.
+    path = [str(Path(twoinf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    rows = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoinf.bench", "--gap", "500", "500", "0.1",
+             "--budgets", "10,50,100,200,400,800", "--trials", "3", "--seed", "9",
+             "--no-walltime", "--flops", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows[threads] = out.read_text().splitlines()
+    one, two = rows["1"], rows["2"]
+    assert one[0] == two[0] and len(one) == len(two) == 1 + 4 * 6 * 3
+    estimate = one[0].split(",").index("estimate")
+    for a, b in zip(one[1:], two[1:]):
+        a, b = a.split(","), b.split(",")
+        assert a[:estimate] == b[:estimate]
+        if a[0] in ("twinest", "twinest_pp"):
+            assert a == b
+        else:
+            assert abs(float(a[estimate]) - float(b[estimate])) <= 1e-14 * float(a[estimate]), (a, b)

@@ -24,12 +24,13 @@ from twoinf import (
     gen_gap_matrix,
     gen_tall_lowrank,
     rademacher_averaging,
+    save_matrix,
     sufficient_m_twinest,
     thin_qr,
     twinest,
     twinest_pp,
 )
-from twoinf import oplib, sketch
+from twoinf import sketch
 from twoinf.estimators import METHODS
 from twoinf.sketch import _BLOCK
 
@@ -670,9 +671,8 @@ def _same_estimates(arr, budgets, seed):
                 assert fields(run(DenseMatrix(arr))) == fields(run(PlainGemv(arr))), (name, m)
 
 
-def test_reads_match_plain_gemv_on_gap_matrix():
+def test_estimates_match_plain_gemv_on_gap_matrix():
     arr = gen_gap_matrix(GapMatrixSpec(500, 500, 0.1, seed=2026)).array
-    assert arr.size >= oplib._READ_MIN_ENTRIES
     _same_estimates(arr, (4, 99), seed=5)
 
 
@@ -685,7 +685,7 @@ def test_reads_match_plain_gemv_on_gap_matrix():
     m=st.integers(3, 12),
 )
 @settings(max_examples=60, deadline=None)
-def test_reads_match_plain_gemv_on_drawn_matrices(seed, rows, cols, shape, exponent, m):
+def test_estimates_match_plain_gemv_on_drawn_matrices(seed, rows, cols, shape, exponent, m):
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((rows, cols))
     if shape == "tied_rows":
@@ -694,13 +694,26 @@ def test_reads_match_plain_gemv_on_drawn_matrices(seed, rows, cols, shape, expon
         base = np.eye(rows, cols)
     elif shape == "zero_matrix":
         base[:] = 0.0
-    # The size limit keeps BLAS for matrices this small; lift it here.
-    with mock.patch.object(oplib, "_READ_MIN_ENTRIES", 1):
-        _same_estimates(base * 2.0**exponent, (m,), seed)
+    _same_estimates(base * 2.0**exponent, (m,), seed)
 
 
 # ---------------------------------------------------------------------------
 # gap report and recovery bound
+
+
+def test_plain_arrays_are_read_as_dense_matrices(tmp_path):
+    arr = gen_gap_matrix(GapMatrixSpec(30, 20, 0.2, seed=4)).array
+    readers = (compute_gap, exact_two_to_inf, lambda mat: sufficient_m_twinest(mat, 0.1))
+    for read in readers:
+        assert read(arr) == read(DenseMatrix(arr))
+    save_matrix(arr, tmp_path / "plain.bin")
+    save_matrix(DenseMatrix(arr), tmp_path / "dense.bin")
+    assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
+    arr[3, 7] = np.nan
+    for read in (*readers, lambda mat: save_matrix(mat, tmp_path / "nan.bin")):
+        with pytest.raises(ValueError, match="matrix entries must all be finite"):
+            read(arr)
+    assert not (tmp_path / "nan.bin").exists()
 
 
 def test_compute_gap_diagonal_example():

@@ -1,12 +1,10 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoinf import (DeflatedGramOp, DenseMatrix, GramOp, LinearOp, RngStream, TransposedOp, oplib,
-                    thin_qr)
+from twoinf import (DeflatedGramOp, DenseMatrix, GramOp, LinearOp, RngStream, TransposedOp,
+                    hutchinson_diag, lowrank_diag, thin_qr)
 from twoinf.estimators import METHODS
 
 
@@ -151,6 +149,18 @@ def test_deflated_rejects_non_orthonormal_basis():
         DeflatedGramOp(a, np.full((3, 2), 0.9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_basis_raises_naming_the_basis(bad):
+    a = DenseMatrix(np.eye(3))
+    basis = np.eye(3)[:, :2]
+    basis[1, 1] = bad
+    with pytest.raises(ValueError, match="basis entries must all be finite"):
+        hutchinson_diag(DeflatedGramOp(a, basis), 4, RngStream(0))
+    with pytest.raises(ValueError, match="basis entries must all be finite"):
+        lowrank_diag(a, basis)
+    assert a.matvec_count == 0
+
+
 def test_deflated_rejects_mismatched_basis():
     a = DenseMatrix(np.eye(3))
     with pytest.raises(ValueError, match="3xr"):
@@ -240,6 +250,24 @@ def test_products_of_the_wrong_shape_raise():
                 METHODS[name](_BrokenOp(fault), 4, RngStream(0))
 
 
+def test_package_operators_check_their_results():
+    class ShortDense(DenseMatrix):
+        def _apply(self, x):
+            return super()._apply(x)[:-1]
+
+    op = ShortDense(np.ones((3, 2)))
+    # A product BLAS makes and one the matrix answers by a read.
+    for x in (np.ones(2), np.array([0.0, -1.0])):
+        with pytest.raises(ValueError, match=r"^ShortDense \(3x2\): apply of shape \(2,\) "
+                                             r"returned shape \(2,\), expected \(3,\)$"):
+            op.apply(x)
+    # The composites that wrap it meet the same error.
+    with pytest.raises(ValueError, match="^ShortDense"):
+        GramOp(op).apply(np.ones(3))
+    with pytest.raises(ValueError, match="^ShortDense"):
+        TransposedOp(op).apply_transpose(np.ones(2))
+
+
 def test_products_are_read_as_float64():
     class ListOp(LinearOp):
         def _apply(self, x):
@@ -313,9 +341,7 @@ _COEFFICIENTS = st.one_of(
 @example(seed=1, rows=40, cols=1, c=-3e200, j=0, i=17)
 @settings(max_examples=300, deadline=None)
 def test_one_nonzero_products_read_the_matrix(seed, rows, cols, c, j, i):
-    # The size limit keeps BLAS for matrices this small; lift it here.
-    with mock.patch.object(oplib, "_READ_MIN_ENTRIES", 1):
-        op = DenseMatrix(_special_matrix(seed, rows, cols))
+    op = DenseMatrix(_special_matrix(seed, rows, cols))
     _check_products(op, c, j % cols, i % rows)
 
 
@@ -324,10 +350,11 @@ class _NoMatmul(np.ndarray):
         raise AssertionError("a one-nonzero product went to BLAS")
 
 
-@pytest.mark.parametrize("shape", [(1, 20_000), (20_000, 1), (150, 150), (2000, 50)])
+# Every size reads, from one entry up to the extremes of shape.
+@pytest.mark.parametrize("shape", [(1, 20_000), (20_000, 1), (150, 150), (2000, 50),
+                                   (1, 1), (2, 3), (3, 2), (12, 12)])
 def test_one_nonzero_products_read_at_the_size_limit(shape):
     op = DenseMatrix(_special_matrix(3, *shape))
-    assert op.array.size >= oplib._READ_MIN_ENTRIES
     for c in (1.0, -3e200, 1e-300):
         _check_products(op, c, shape[1] - 1, shape[0] // 2)
     # The read makes no matmul: a matrix that refuses one still answers.

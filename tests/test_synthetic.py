@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import twoinf
 from twoinf import (
     DenseMatrix,
     GapMatrixSpec,
@@ -190,3 +191,14 @@ def test_load_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload ends at byte offset"):
         load_matrix(path)
+
+
+# ---------------------------------------------------------------------------
+# the package's public names
+
+
+def test_package_names_are_the_modules_names():
+    modules = (twoinf.oplib, twoinf.sketch, twoinf.estimators, twoinf.synthetic)
+    assert twoinf.__all__ == [name for module in modules for name in module.__all__]
+    assert len(twoinf.__all__) == len(set(twoinf.__all__)) == 31
+    assert all(hasattr(twoinf, name) for name in twoinf.__all__)
