@@ -48,9 +48,8 @@ class LinearOp(ABC):
     validate the shapes that go in and come out, and maintain the matvec
     counter.  The counter is monotone non-decreasing and increments by
     exactly one per product, in either direction: a block of k columns
-    counts k.  A product's result belongs to the caller, which may
-    overwrite it (``hutchpp_diag`` factors its sketch image in place): an
-    operator returns a new array, never one it keeps.
+    counts k.  A result may be read-only or an array the operator keeps:
+    no code in the package writes into one.
 
     Every result is read as float64 and must have the shape the product
     promises, whichever class made it: a short or misshapen result raises
@@ -199,9 +198,11 @@ class DeflatedGramOp(GramOp):
         basis = _as_basis(basis, inner.rows)
         r = basis.shape[1]
         if r > 0:
-            defect = np.abs(basis.T @ basis - np.eye(r)).max()
-            # Not "defect > tol": a NaN defect, which an overflowing Q^T Q can
-            # give, fails the test too.
+            # An overflowing Q^T Q gives an inf or NaN defect, which the test
+            # below rejects ("not defect <= tol" fails on a NaN too), so
+            # numpy's warnings on the way there are not needed.
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = np.abs(basis.T @ basis - np.eye(r)).max()
             if not defect <= ORTHONORMALITY_TOL:
                 raise ValueError(
                     f"basis columns are not orthonormal: max |Q^T Q - I| = {defect:.3e}"

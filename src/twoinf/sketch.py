@@ -117,22 +117,26 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis whose range contains the range of ``mat``.
 
     The ``Q`` of a Householder QR, as a new ``d x r`` float64 array; ``mat``
-    is left as it is.  The columns are orthonormal even when ``mat`` is rank
-    deficient, in which case the surplus columns are deterministic
-    directions produced by the trailing reflectors.
+    is left as it is, and may be read-only.  The columns are orthonormal
+    even when ``mat`` is rank deficient, in which case the surplus columns
+    are deterministic directions produced by the trailing reflectors.
 
     The QR is recursive and blocked (Elmroth and Gustavson, 2000).  The
     columns are split in halves down to leaves of at most ``_LEAF``
     columns, whose reflectors LAPACK computes; each leaf's compact-WY ``T``
-    comes from LAPACK's ``dlarft`` recurrence.  The trailing updates, the
-    joins of two ``T`` blocks and the forming of ``Q = E - V (T V1^T)`` are
-    matrix products, and ``R`` is never formed.  LAPACK's own
-    ``dgeqrf``/``dorgqr`` run their unblocked, matrix-vector code below 128
-    columns, where every call is short and OpenBLAS synchronises its
-    threads on each; that made the QR cost more than all the products of a
-    2000-row Hutch++ estimate.  At 40 to 133 columns this is about twice as
-    fast; at a few columns, or on a short side such as 50 x 50, its Python
-    steps make it slower by up to about 0.5 ms (``BENCH_qr.json``).
+    is the closed form ``(I + diag(tau) striu(V^T V))^{-1} diag(tau)``, one
+    triangular solve (Joffrain et al., 2006).  The trailing updates, the
+    joins of two ``T`` blocks and the forming of ``Q`` are matrix products,
+    and ``R`` is never formed.  The Householder vectors ``V`` overwrite a
+    copy of ``mat``, and ``Q = E + V M``, with ``M = -T V1^T``, is formed
+    over that same copy in chunks of rows, so no second ``d x r`` array is
+    allocated.  LAPACK's own ``dgeqrf``/``dorgqr`` run their unblocked,
+    matrix-vector code below 128 columns, where every call is short and
+    OpenBLAS synchronises its threads on each; that made the QR cost more
+    than all the products of a 2000-row Hutch++ estimate.  At 40 to 133
+    columns this is about twice as fast; at a few columns, or on a short
+    side such as 50 x 50, its Python steps make it slower by up to about
+    0.5 ms (``BENCH_qr.json``).
 
     The reflectors are LAPACK's up to rounding, so ``Q`` and LAPACK's
     reduced ``Q`` differ in rounding only on a full-rank input (their
@@ -147,7 +151,17 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"need at most as many columns as rows, got {d}x{r}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("input to thin_qr must be finite")
-    return _householder_q(mat.copy())
+    v = mat.copy()
+    t = _reflectors(v)
+    # Q = (I - V T V^T) E = E + V M, with E the first r columns of the
+    # identity and V1 the top r x r block of V.  M is formed before V1 is
+    # overwritten, and each chunk's product before its rows are.
+    m = -t @ v[:r].T
+    for start in range(0, d, _ROWS):
+        chunk = v[start:start + _ROWS]
+        chunk[...] = chunk @ m
+    v[:r] += np.eye(r)
+    return v
 
 
 # Columns of a leaf of the recursive QR.  LAPACK factors a leaf with
@@ -156,26 +170,11 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
 # benchmark's sketches, BENCH_qr.json).
 _LEAF = 16
 
-# Rows per chunk of a trailing update.  A chunk's product is a temporary
-# small enough to reuse heap memory; one as large as the trailing block is
-# mapped afresh on each call, which took longer than the product itself.
+# Rows per chunk of a trailing update and of forming Q.  A chunk's product
+# is a temporary small enough to reuse heap memory; one as large as the
+# trailing block is mapped afresh on each call, which took longer than the
+# product itself.
 _ROWS = 256
-
-
-def _householder_q(work: np.ndarray) -> np.ndarray:
-    """``Q`` of a finite ``d x r`` array with ``r <= d``, as a new array.
-
-    ``work`` is overwritten with the Householder vectors: ``thin_qr`` passes
-    a copy, ``hutchpp_diag`` the sketch image it owns.
-    """
-    d, r = work.shape
-    t = _reflectors(work)
-    # Q = (I - V T V^T) E = E - V (T V1^T), with E the first r columns of
-    # the identity and V1 the top r x r block of V.
-    q = np.empty((d, r))
-    np.matmul(work, -t @ work[:r].T, out=q)
-    q[:r] += np.eye(r)
-    return q
 
 
 def _reflectors(a: np.ndarray) -> np.ndarray:
@@ -193,13 +192,9 @@ def _reflectors(a: np.ndarray) -> np.ndarray:
         top = a[:n]
         top[...] = np.tril(top, -1)
         np.fill_diagonal(top, 1.0)
-        # LAPACK's dlarft recurrence: T[:i, i] = -tau_i T[:i, :i] V[:, :i]^T v_i.
-        g = a.T @ a
-        t = np.zeros((n, n))
-        for i in range(n):
-            t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
-            t[i, i] = tau[i]
-        return t
+        # T^{-1} = diag(1/tau) + striu(V^T V); the matrix solved here is unit
+        # upper triangular, so a zero tau (H_i = I) needs no guard.
+        return np.linalg.solve(np.eye(n) + tau[:, None] * np.triu(a.T @ a, 1), np.diag(tau))
     k = n // 2
     a1, a2 = a[:, :k], a[:, k:]
     t1 = _reflectors(a1)
@@ -246,8 +241,9 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     The sketch width is capped at the operator side ``d``; surplus budget
     goes to residual samples (deflation cannot use more than ``d``
     directions).  The sketch is applied as one block; an image that
-    overflows float64 raises before the QR.  The image is this call's own
-    array, so the QR factors it in place instead of copying it.
+    overflows float64 raises before the QR.  ``Q`` comes from
+    :func:`thin_qr`, which factors a copy, so the image may be read-only or
+    an array the operator keeps.
     """
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
@@ -256,6 +252,6 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         image = GramOp(a).apply(_probe_block(rng, d, r))
     _require_finite(image)
-    q = _householder_q(image)
+    q = thin_qr(image)
     low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

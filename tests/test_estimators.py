@@ -215,8 +215,9 @@ def test_twinest_pp_matvec_accounting():
         assert a.matvec_count == 2 * m + 1
 
 
-def _lapack_q(work):
-    return np.linalg.qr(work, mode="reduced")[0]
+def _lapack_q(mat):
+    _lapack_q.calls += 1
+    return np.linalg.qr(mat, mode="reduced")[0]
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -229,16 +230,19 @@ def test_twinest_pp_selects_the_rows_of_a_lapack_basis(seed):
         (gen_tall_lowrank(TallMatrixSpec(2000, 50, seed)), (25, 61, 121, 241, 361, 481)),
         (gen_gap_matrix(GapMatrixSpec(500, 500, 0.1, seed)), (10, 50, 100, 200, 400, 800)),
     )
+    _lapack_q.calls = 0
     for mat, budgets in cases:
         for budget in budgets:
             m = budget_to_samples("twinest_pp", budget)
             for run in (lambda op: twinest_pp(op, m, RngStream(seed)),
                         lambda op: estimate_one_to_two(op, "twinest_pp", m, RngStream(seed))):
                 got = run(DenseMatrix(mat.array))
-                with mock.patch.object(sketch, "_householder_q", _lapack_q):
+                with mock.patch.object(sketch, "thin_qr", _lapack_q):
                     want = run(DenseMatrix(mat.array))
                 assert (got.value.hex(), got.selected_row, got.matvecs_used) == (
                     want.value.hex(), want.selected_row, want.matvecs_used), (budget, m)
+    # hutchpp_diag must factor through thin_qr, or the reference was never used.
+    assert _lapack_q.calls > 0
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +580,24 @@ class VectorOnlyJacobian(TanhJacobian):
         return self.s * h
 
 
+class ReadOnlyJacobian(TanhJacobian):
+    """The same Jacobian with read-only products, as numpy's zero-copy view of
+    an array from another framework can be; the estimators must not write
+    into a product's result.
+    """
+
+    def _apply(self, x):
+        return _read_only(super()._apply(x))
+
+    def _apply_transpose(self, y):
+        return _read_only(super()._apply_transpose(y))
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def _tanh_jacobian(seed, outputs=12, hidden=16, inputs=30, kind=TanhJacobian):
     """A network whose Jacobian has a clear largest row and a clear largest column."""
     rng = np.random.default_rng(seed)
@@ -617,28 +639,30 @@ def test_operators_keep_the_product_contract():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_methods_agree_on_matrix_free_jacobian(seed):
-    jac = _tanh_jacobian(seed)
-    dense = DenseMatrix(jac.dense())
-    assert np.argmax(np.linalg.norm(dense.array, axis=1)) == 5
-    for name in METHODS:
-        for m in (3, 30, 99):  # 99 probes cross a 64-probe block boundary
-            free = METHODS[name](jac, m, RngStream(seed))
-            ref = METHODS[name](dense, m, RngStream(seed))
-            assert free.selected_row == ref.selected_row, (name, m)
-            assert free.matvecs_used == ref.matvecs_used, (name, m)
-            assert free.value == pytest.approx(ref.value, rel=1e-12), (name, m)
+    for kind in (TanhJacobian, ReadOnlyJacobian):
+        jac = _tanh_jacobian(seed, kind=kind)
+        dense = DenseMatrix(jac.dense())
+        assert np.argmax(np.linalg.norm(dense.array, axis=1)) == 5
+        for name in METHODS:
+            for m in (3, 30, 99):  # 99 probes cross a 64-probe block boundary
+                free = METHODS[name](jac, m, RngStream(seed))
+                ref = METHODS[name](dense, m, RngStream(seed))
+                assert free.selected_row == ref.selected_row, (kind, name, m)
+                assert free.matvecs_used == ref.matvecs_used, (kind, name, m)
+                assert free.value == pytest.approx(ref.value, rel=1e-12), (kind, name, m)
 
 
 def test_one_to_two_of_jacobian_is_largest_input_sensitivity():
     # The one-to-two norm of J is its largest column norm: the sensitivity of
     # the output to the most sensitive input.  At m = 36 the sketch has 12
     # columns, the rank of J, so the deflated diagonal is exact.
-    for seed in range(3):
-        jac = _tanh_jacobian(seed)
-        column_norms = np.linalg.norm(jac.dense(), axis=0)
-        est = estimate_one_to_two(jac, "twinest_pp", 36, RngStream(seed))
-        assert est.selected_row == 7 == np.argmax(column_norms)
-        assert est.value == pytest.approx(column_norms.max(), rel=1e-12)
+    for kind in (TanhJacobian, ReadOnlyJacobian):
+        for seed in range(3):
+            jac = _tanh_jacobian(seed, kind=kind)
+            column_norms = np.linalg.norm(jac.dense(), axis=0)
+            est = estimate_one_to_two(jac, "twinest_pp", 36, RngStream(seed))
+            assert est.selected_row == 7 == np.argmax(column_norms)
+            assert est.value == pytest.approx(column_norms.max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,11 @@ def test_deflated_hand_example():
 
 def test_deflated_rejects_non_orthonormal_basis():
     a = DenseMatrix(np.eye(3))
-    with pytest.raises(ValueError, match="orthonormal"):
-        DeflatedGramOp(a, np.full((3, 2), 0.9))
+    # The second is finite, but its Q^T Q overflows: the ValueError, not
+    # numpy's overflow warning, must report it.
+    for basis in (np.full((3, 2), 0.9), [[1e200, 1e200], [1e200, -1e200], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="orthonormal"):
+            DeflatedGramOp(a, basis)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
