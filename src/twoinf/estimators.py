@@ -136,11 +136,17 @@ def _measure_argmax_row(a: LinearOp, diag: np.ndarray, before: int) -> NormEstim
     """Select the argmax row of ``diag`` and measure its exact norm.
 
     Ties go to the smallest index; the measurement is one transpose product.
+    The row is summed as a one-row block, as :func:`exact_two_to_inf` sums
+    rows, so the sum does not depend on the BLAS thread count.
     """
     j = int(np.argmax(diag))
-    e = np.zeros(a.rows)
-    e[j] = 1.0
-    return NormEstimate(_norm(*_sum_squares(a.apply_transpose(e))), j, a.matvec_count - before)
+    e_j = np.zeros(a.rows)
+    e_j[j] = 1.0
+    # reshape, not [None]: the sums are the same, but with [None]'s zero-stride
+    # axis, peak RSS read 1.6-1.8 MB higher after 40 s of perfbench
+    # gap_square trials (cause not found).
+    sq, e = _sum_squares(a.apply_transpose(e_j).reshape(1, -1))
+    return NormEstimate(_norm(sq[0], e), j, a.matvec_count - before)
 
 
 def exact_two_to_inf(mat: DenseMatrix) -> NormEstimate:

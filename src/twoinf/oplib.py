@@ -52,8 +52,8 @@ class LinearOp(ABC):
     no code in the package writes into one.
 
     Every result is read as float64 and must have the shape the product
-    promises, whichever class made it: a short or misshapen result raises
-    instead of reaching an estimator.
+    promises, whichever class made it: a complex, short or misshapen
+    result raises instead of reaching an estimator.
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
@@ -97,7 +97,13 @@ class LinearOp(ABC):
                 f"(operator is {self.rows}x{self.cols}), got shape {x.shape}"
             )
         self._matvecs += 1 if x.ndim == 1 else x.shape[1]
-        out = np.asarray(product(x), dtype=_F64)
+        out = product(x)
+        if np.iscomplexobj(out):
+            raise ValueError(
+                f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
+                "returned complex values; the operator must be real"
+            )
+        out = np.asarray(out, dtype=_F64)
         expected = (out_side, *x.shape[1:])
         if out.shape != expected:
             raise ValueError(
@@ -119,15 +125,17 @@ class LinearOp(ABC):
 class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
-    ``entries`` is stored as a C-contiguous float64 array.  At every size,
-    a vector with one nonzero entry ``c`` at ``j`` is answered by reading
-    the matrix: ``A (c e_j)`` is ``c A[:, j]`` and ``A^T (c e_j)`` is
-    ``c A[j]``, the values BLAS gives, since its sum adds the one rounded
-    product to signed zeros.  It still counts one matvec.  Blocks and
-    every other vector go to BLAS.
+    ``entries`` is stored as a C-contiguous float64 array; complex entries
+    raise.  At every size, a vector with one nonzero entry ``c`` at ``j``
+    is answered by reading the matrix: ``A (c e_j)`` is ``c A[:, j]`` and
+    ``A^T (c e_j)`` is ``c A[j]``.  The values equal BLAS's entry for
+    entry; only the sign of a zero can differ, and no estimator reads it.
+    It still counts one matvec.  Blocks and every other vector go to BLAS.
     """
 
     def __init__(self, entries):
+        if np.iscomplexobj(entries):
+            raise ValueError("matrix entries must be real, got complex entries")
         arr = np.ascontiguousarray(entries, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of entries, got ndim={arr.ndim}")
@@ -137,32 +145,23 @@ class DenseMatrix(LinearOp):
         self.array = arr
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1 and np.count_nonzero(x) == 1:
-            j = np.abs(x).argmax()
-            return _scaled(self.array[:, j], x[j])
-        return self.array @ x
+        return _dense_product(self.array, x)
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        if y.ndim == 1 and np.count_nonzero(y) == 1:
-            i = np.abs(y).argmax()
-            return _scaled(self.array[i], y[i])
-        return self.array.T @ y
+        return _dense_product(self.array.T, y)
+
+
+def _dense_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x``, read from ``m`` where ``x`` is a vector with one nonzero entry."""
+    if x.ndim == 1 and np.count_nonzero(x) == 1:
+        j = np.abs(x).argmax()
+        return m[:, j] * x[j]
+    return m @ x
 
 
 def _as_dense(mat) -> DenseMatrix:
     """``mat`` itself if it is a :class:`DenseMatrix`, else a plain array read as one."""
     return mat if isinstance(mat, DenseMatrix) else DenseMatrix(mat)
-
-
-def _scaled(v: np.ndarray, c: np.float64) -> np.ndarray:
-    """``c v`` as a new array, its zeros ``+0.0`` as BLAS's sums give them.
-
-    BLAS's forward product can keep ``-0.0`` where ``c A[i, j]`` underflows;
-    the values are equal, and no estimator reads the sign of a zero.
-    """
-    out = v * c
-    out += 0.0
-    return out
 
 
 class GramOp(LinearOp):

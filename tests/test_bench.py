@@ -518,23 +518,30 @@ def test_replay_across_blas_thread_counts(tmp_path):
     # Byte-identical replay holds for one BLAS thread count. Across counts,
     # BLAS sums a GEMV or GEMM in another order, so the noisy readouts move
     # in their last bits. The exact-row readouts of twinest and twinest_pp
-    # come from a product with one nonzero entry, which has one rounding;
-    # only a near-tie that rounding flips could move them.
+    # read the selected row through a product with one nonzero entry, which
+    # is not summed, and sum its squares with einsum, which uses no BLAS;
+    # only a near-tie in the selection could move them. The second
+    # campaign's rows have 12000 entries: OpenBLAS splits a dot product of
+    # more than 10,000 entries across threads.
     path = [str(Path(twoinf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    rows = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-               "OPENBLAS_NUM_THREADS": threads}
-        out = tmp_path / f"threads{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoinf.bench", "--gap", "500", "500", "0.1",
-             "--budgets", "10,50,100,200,400,800", "--trials", "3", "--seed", "9",
-             "--no-walltime", "--flops", "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        rows[threads] = out.read_text().splitlines()
-    one, two = rows["1"], rows["2"]
+
+    def campaign(name, *args):
+        rows = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                   "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"{name}_threads{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "twoinf.bench", *args, "--seed", "9",
+                 "--no-walltime", "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            rows[threads] = out.read_text().splitlines()
+        return rows["1"], rows["2"]
+
+    one, two = campaign("square", "--gap", "500", "500", "0.1",
+                        "--budgets", "10,50,100,200,400,800", "--trials", "3", "--flops")
     assert one[0] == two[0] and len(one) == len(two) == 1 + 4 * 6 * 3
     estimate = one[0].split(",").index("estimate")
     for a, b in zip(one[1:], two[1:]):
@@ -544,3 +551,7 @@ def test_replay_across_blas_thread_counts(tmp_path):
             assert a == b
         else:
             assert abs(float(a[estimate]) - float(b[estimate])) <= 1e-14 * float(a[estimate]), (a, b)
+
+    one, two = campaign("wide", "--gap", "8", "12000", "0.1", "--methods", "twinest,twinest_pp",
+                        "--budgets", "10,20,40", "--trials", "5")
+    assert len(one) == 1 + 2 * 3 * 5 and one == two

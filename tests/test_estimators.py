@@ -146,13 +146,13 @@ def test_twinest_row_exactness(seed, rows, cols, power, shape, m):
         exact = exact_two_to_inf(DenseMatrix(lines)).value
         for method in ("twinest", "twinest_pp"):
             est = run(method)
+            row = [est.selected_row]
+            assert est.value == exact_two_to_inf(DenseMatrix(lines[row])).value, method
             if radix == 2.0:
                 # Scaling by a power of two is exact, also where the squares
                 # of the scaled entries leave the normal range.
-                assert est.value == scale * np.linalg.norm(unscaled[est.selected_row]), method
-            else:
-                assert est.value == np.linalg.norm(lines[est.selected_row]), method
-            assert est.value <= exact * (1 + 1e-12), method
+                assert est.value == scale * exact_two_to_inf(DenseMatrix(unscaled[row])).value, method
+            assert est.value <= exact, method
 
 
 def test_twinest_recovers_under_sufficient_sampling():

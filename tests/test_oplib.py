@@ -42,6 +42,10 @@ def test_dense_rejects_non_finite_entries():
         DenseMatrix([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
         DenseMatrix([[np.nan]])
+    # Complex entries would lose their imaginary part: [[3+4j]] has norm 5, not 3.
+    for entries in ([[3 + 4j, 0.0], [1.0, 1.0]], np.array([[1.0]], dtype=np.complex64)):
+        with pytest.raises(ValueError, match="real"):
+            DenseMatrix(entries)
 
 
 def test_adjoint_consistency_over_100_random_pairs():
@@ -283,6 +287,14 @@ def test_products_are_read_as_float64():
     out = op.apply(np.array([1.0, 2.0]))
     assert out.dtype == np.float64 and np.array_equal(out, [2.0, 4.0])
     assert op.apply_transpose(np.ones(2)).dtype == np.float64
+
+    class ComplexOp(ListOp):
+        def _apply_transpose(self, y):
+            return y + 1j
+
+    op = ComplexOp(2, 2)
+    with pytest.raises(ValueError, match=r"ComplexOp \(2x2\): apply_transpose .* complex"):
+        op.apply_transpose(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
