@@ -28,9 +28,22 @@ ORTHONORMALITY_TOL = 1e-10
 _F64 = np.dtype(np.float64)
 
 
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; complex values raise a ``ValueError`` naming ``what``.
+
+    numpy's own cast would drop the imaginary part with only a ``ComplexWarning``.
+    """
+    values = np.asarray(values)
+    if values.dtype is _F64:
+        return values
+    if values.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got {values.dtype} values")
+    return values.astype(_F64)
+
+
 def _as_basis(basis, rows: int) -> np.ndarray:
-    """``basis`` as a float64 array; raises unless it is a finite ``rows x r`` array."""
-    basis = np.asarray(basis, dtype=np.float64)
+    """``basis`` as a float64 array; raises unless it is a real, finite ``rows x r`` array."""
+    basis = _real(basis, "basis")
     if basis.ndim != 2 or basis.shape[0] != rows:
         raise ValueError(
             f"basis must be {rows}xr for an operator with {rows} rows, got shape {basis.shape}"
@@ -51,9 +64,10 @@ class LinearOp(ABC):
     counts k.  A result may be read-only or an array the operator keeps:
     no code in the package writes into one.
 
-    Every result is read as float64 and must have the shape the product
-    promises, whichever class made it: a complex, short or misshapen
-    result raises instead of reaching an estimator.
+    Every input and result is read as float64, and a result must have the
+    shape the product promises, whichever class made it: a complex input,
+    or a complex, short or misshapen result, raises instead of losing its
+    imaginary part or reaching an estimator.
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
@@ -84,26 +98,25 @@ class LinearOp(ABC):
     def _product(self, name: str, product, x, side: int, out_side: int) -> np.ndarray:
         """Count and make one product, checking the shapes that go in and come out.
 
-        ``x`` must be a vector of length ``side`` or a ``side x k`` block,
-        which counts k matvecs.  The result, read as float64, must be a
-        vector of length ``out_side`` or an ``out_side x k`` block.
+        ``x`` must be a real vector of length ``side`` or a real ``side x k``
+        block, which counts k matvecs.  The result, read as float64, must be
+        real and a vector of length ``out_side`` or an ``out_side x k`` block.
         """
-        # The dtype object, not np.float64: looking the type up costs about
-        # 0.05-0.1 us a call, against about 2 us for a whole 2x2 product.
-        x = np.asarray(x, dtype=_F64)
+        # Float64 arrays, the estimators' only inputs and results, pass on an
+        # identity test of the dtype; only other dtypes go through _real.
+        x = np.asarray(x)
+        if x.dtype is not _F64:
+            x = _real(x, f"{type(self).__name__} ({self.rows}x{self.cols}): {name} input")
         if x.ndim not in (1, 2) or x.shape[0] != side:
             raise ValueError(
                 f"{name} expects a vector of length {side} or a {side}xk block "
                 f"(operator is {self.rows}x{self.cols}), got shape {x.shape}"
             )
         self._matvecs += 1 if x.ndim == 1 else x.shape[1]
-        out = product(x)
-        if np.iscomplexobj(out):
-            raise ValueError(
-                f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
-                "returned complex values; the operator must be real"
-            )
-        out = np.asarray(out, dtype=_F64)
+        out = np.asarray(product(x))
+        if out.dtype is not _F64:
+            out = _real(out, f"{type(self).__name__} ({self.rows}x{self.cols}): "
+                             f"{name} of shape {x.shape} result")
         expected = (out_side, *x.shape[1:])
         if out.shape != expected:
             raise ValueError(
@@ -169,8 +182,9 @@ class GramOp(LinearOp):
 
     One application computes ``A (A^T x)`` through the wrapped operator's
     counted ``apply_transpose`` and ``apply``, and therefore costs exactly
-    two matvecs on it per column.  This is the one place that forms the
-    product.  ``B`` is symmetric, so transpose application is the same map.
+    two matvecs on it per column; :class:`DeflatedGramOp` forms the same
+    product from its projected input.  ``B`` is symmetric, so transpose
+    application is the same map.
     """
 
     def __init__(self, inner: LinearOp):
@@ -187,10 +201,16 @@ class GramOp(LinearOp):
 class DeflatedGramOp(GramOp):
     """The residual operator ``x -> A A^T (I - Q Q^T) x``.
 
-    ``basis`` must be finite, with orthonormal columns (checked to 1e-10
-    on entry).  The projection ``x - Q (Q^T x)`` is plain dense arithmetic
-    and costs zero matvecs; the Gram application costs two on the wrapped
-    operator.  An empty basis (r = 0) makes this identical to :class:`GramOp`.
+    ``basis`` must be real and finite, with orthonormal columns (checked
+    to 1e-10 on entry).  The projection ``x - Q (Q^T x)`` is plain dense
+    arithmetic and costs zero matvecs; the Gram application costs two on
+    the wrapped operator.  An empty basis (r = 0) makes this identical to
+    :class:`GramOp`.
+
+    A forward product of a ``d x k`` block holds the projected block only
+    through the ``A^T`` product: it is freed before ``A (A^T P x)`` is
+    formed.  So besides ``Q``, at most two ``d x k`` arrays are alive at
+    once: the block and its projection, then the block and its image.
     """
 
     def __init__(self, inner: LinearOp, basis: np.ndarray):
@@ -213,10 +233,17 @@ class DeflatedGramOp(GramOp):
         # (I - Q Q^T) x, associated so that a block's columns are the rows
         # of the products: with OpenBLAS this packs less of its buffers than
         # Q (Q^T x), about 0.5 MB less resident memory on a 2000x80 basis.
-        return x - ((x.T @ self.basis) @ self.basis.T).T
+        # The difference overwrites the product, so one temporary holds it;
+        # its transpose has the layout x - t.T would have.
+        t = (x.T @ self.basis) @ self.basis.T
+        np.subtract(x.T, t, out=t)
+        return t.T
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return super()._apply(self._project_out(x))
+        # One expression, so the projected block is a temporary that dies
+        # with the A^T product; as a parameter of GramOp._apply it would
+        # live on through the A product.
+        return self.inner.apply(self.inner.apply_transpose(self._project_out(x)))
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
         return self._project_out(super()._apply(y))

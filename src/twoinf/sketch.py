@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis
+from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis, _real
 
 __all__ = [
     "RngStream",
@@ -117,9 +117,10 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis whose range contains the range of ``mat``.
 
     The ``Q`` of a Householder QR, as a new ``d x r`` float64 array; ``mat``
-    is left as it is, and may be read-only.  The columns are orthonormal
-    even when ``mat`` is rank deficient, in which case the surplus columns
-    are deterministic directions produced by the trailing reflectors.
+    is left as it is, and may be read-only; a complex ``mat`` raises.  The
+    columns are orthonormal even when ``mat`` is rank deficient, in which
+    case the surplus columns are deterministic directions produced by the
+    trailing reflectors.
 
     The QR is recursive and blocked (Elmroth and Gustavson, 2000).  The
     columns are split in halves down to leaves of at most ``_LEAF``
@@ -143,7 +144,7 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     projectors agree to 1e-12); the surplus columns of a rank-deficient
     input differ entirely.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = _real(mat, "thin_qr input")
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={mat.ndim}")
     d, r = mat.shape
@@ -243,7 +244,16 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     directions).  The sketch is applied as one block; an image that
     overflows float64 raises before the QR.  ``Q`` comes from
     :func:`thin_qr`, which factors a copy, so the image may be read-only or
-    an array the operator keeps.
+    an array the operator keeps, and it is freed once ``Q`` exists.
+
+    With ``r`` sketch columns and residual blocks of ``k <= 64`` probes, the
+    working set is ``d (r + 2k)`` floats beyond the probe draw's one byte
+    per bit: ``Q``, a probe block and one more ``d x k`` block, since the
+    deflated product holds its projected block only through the ``A^T``
+    product (:class:`~twoinf.oplib.DeflatedGramOp`).  A sketch wider than
+    ``2k`` columns peaks at ``2 d r`` instead: the sketch and its image,
+    the image and the QR's copy, and ``Q`` and ``A A^T Q`` are each alive
+    together.
     """
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
@@ -251,7 +261,7 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     r, residual_samples = _hutchpp_split(m, d)
     with np.errstate(over="ignore", invalid="ignore"):
         image = GramOp(a).apply(_probe_block(rng, d, r))
-    _require_finite(image)
-    q = thin_qr(image)
+    q = thin_qr(_require_finite(image))
+    del image  # Q is the one d x r array from here on
     low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

@@ -296,6 +296,18 @@ def test_products_are_read_as_float64():
     with pytest.raises(ValueError, match=r"ComplexOp \(2x2\): apply_transpose .* complex"):
         op.apply_transpose(np.ones((2, 3)))
 
+    # Complex inputs raise too, before any product is made or counted,
+    # instead of losing their imaginary part.
+    a = DenseMatrix(np.eye(3))
+    for product, x in ((a.apply, [1 + 1j, 0.0, 0.0]), (a.apply, np.ones(3, np.complex64)),
+                       (a.apply_transpose, np.ones((3, 2), complex))):
+        with pytest.raises(ValueError, match=rf"^DenseMatrix \(3x3\): {product.__name__} "
+                                             r"input must be real, got complex"):
+            product(x)
+    with pytest.raises(ValueError, match=r"^GramOp \(3x3\): apply input must be real"):
+        GramOp(a).apply(np.ones(3) * 1j)
+    assert a.matvec_count == 0
+
 
 # ---------------------------------------------------------------------------
 # products with a one-nonzero vector read the matrix

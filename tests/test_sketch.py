@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -216,6 +218,19 @@ def test_thin_qr_rejects_wide_input():
         thin_qr(np.ones((2, 3)))
 
 
+def test_complex_inputs_raise_naming_the_argument():
+    # Each would otherwise lose its imaginary part with only a ComplexWarning.
+    with pytest.raises(ValueError, match="^thin_qr input must be real, got complex128"):
+        thin_qr(np.eye(3, 2) + 1j)
+    a = DenseMatrix(np.eye(3))
+    for basis in (np.eye(3, 2) * (1 + 0j), np.eye(3, 2).astype(np.complex64)):
+        with pytest.raises(ValueError, match="^basis must be real, got complex"):
+            DeflatedGramOp(a, basis)
+        with pytest.raises(ValueError, match="^basis must be real, got complex"):
+            lowrank_diag(a, basis)
+    assert a.matvec_count == 0
+
+
 def test_thin_qr_empty_basis_passthrough():
     q = thin_qr(np.empty((5, 0)))
     assert q.shape == (5, 0)
@@ -356,6 +371,26 @@ def test_hutchpp_beats_hutchinson_on_lowrank_structure():
     )
     assert deflated < plain_30
     assert deflated < plain_20
+
+
+def test_hutchpp_working_set_is_one_basis_and_two_blocks():
+    # 2000 x 50 at m = 240: r = 80 sketch columns, then residual blocks of
+    # 64 and 16 probes.  At its peak the estimate may hold Q and two d x 64
+    # blocks, plus the probe draw's one byte per bit; the sketch image (a
+    # second d x r array) and the projected block (a third d x 64) must be
+    # freed by then.
+    d, r = 2000, 80
+    a = DenseMatrix(np.random.default_rng(5).standard_normal((d, 50)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        hutchpp_diag(a, 3 * r, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bits = _BLOCK * 64 * -(-d // 64)
+    assert peak <= 1.05 * (8 * d * (r + 2 * _BLOCK) + bits)
 
 
 def test_hutchpp_replay_bit_identical():
