@@ -71,8 +71,10 @@ class LinearOp(ABC):
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
-    instance.  Estimates may share an operator: each reports its own
-    counter difference, so the counter holds the sum over them.
+    instance, and :class:`DenseMatrix`'s memo of its last vector per
+    direction, which changes no answer.  Estimates may share an operator:
+    each reports its own counter difference, so the counter holds the sum
+    over them.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -139,11 +141,24 @@ class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
     ``entries`` is stored as a C-contiguous float64 array; complex entries
-    raise.  At every size, a vector with one nonzero entry ``c`` at ``j``
-    is answered by reading the matrix: ``A (c e_j)`` is ``c A[:, j]`` and
+    raise.  ``array`` is a read-only view of it, and it is not copied: an
+    array that is already C-contiguous float64 is shared with the caller,
+    who must not write into it afterwards.  The entries must not change
+    after construction, because of the memo below.
+
+    At every size, a vector with one nonzero entry ``c`` at ``j`` is
+    answered by reading the matrix: ``A (c e_j)`` is ``c A[:, j]`` and
     ``A^T (c e_j)`` is ``c A[j]``.  The values equal BLAS's entry for
     entry; only the sign of a zero can differ, and no estimator reads it.
-    It still counts one matvec.  Blocks and every other vector go to BLAS.
+    Blocks and every other vector go to BLAS.
+
+    Each direction keeps its last vector input and a private copy of the
+    answer.  A vector whose bytes equal that input's, as the power
+    method's iterate does once it settles on a row, gets a new copy of the
+    kept answer.  Those are the bits BLAS gives again for the same input
+    bits in one process at one thread count, so the memo changes no value;
+    it costs one input/answer pair per direction, and blocks pass it by.
+    Every product, repeated or not, counts one matvec.
     """
 
     def __init__(self, entries):
@@ -155,13 +170,30 @@ class DenseMatrix(LinearOp):
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must all be finite")
         super().__init__(arr.shape[0], arr.shape[1])
-        self.array = arr
+        self.array = arr.view()
+        self.array.flags.writeable = False
+        # (input bytes, answer) of the last vector, forward and transpose.
+        # Each slot is replaced by one assignment, so estimates that share
+        # the operator across threads never see a key with another answer.
+        self._last = [None, None]
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return _dense_product(self.array, x)
+        return self._answer(0, self.array, x)
 
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        return _dense_product(self.array.T, y)
+        return self._answer(1, self.array.T, y)
+
+    def _answer(self, side: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``m @ x`` through the memo of direction ``side``."""
+        if x.ndim != 1:
+            return _dense_product(m, x)
+        key = x.tobytes()
+        last = self._last[side]
+        if last is not None and last[0] == key:
+            return last[1].copy()
+        out = _dense_product(m, x)
+        self._last[side] = (key, out.copy())
+        return out
 
 
 def _dense_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -242,7 +242,8 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     The sketch width is capped at the operator side ``d``; surplus budget
     goes to residual samples (deflation cannot use more than ``d``
     directions).  The sketch is applied as one block; an image that
-    overflows float64 raises before the QR.  ``Q`` comes from
+    overflows float64 raises before it is factored, found by
+    :func:`thin_qr`'s own scan and reported as an overflow.  ``Q`` comes from
     :func:`thin_qr`, which factors a copy, so the image may be read-only or
     an array the operator keeps, and it is freed once ``Q`` exists.
 
@@ -261,7 +262,14 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     r, residual_samples = _hutchpp_split(m, d)
     with np.errstate(over="ignore", invalid="ignore"):
         image = GramOp(a).apply(_probe_block(rng, d, r))
-    q = thin_qr(_require_finite(image))
+    try:
+        q = thin_qr(image)
+    except ValueError:
+        # The image is a real d x r block with r <= d, so thin_qr can only
+        # have found a non-finite entry: its one scan of the image stands
+        # for ours, which runs here only to say that the products overflowed.
+        _require_finite(image)
+        raise
     del image  # Q is the one d x r array from here on
     low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

@@ -733,10 +733,11 @@ def test_plain_arrays_are_read_as_dense_matrices(tmp_path):
     save_matrix(arr, tmp_path / "plain.bin")
     save_matrix(DenseMatrix(arr), tmp_path / "dense.bin")
     assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
-    arr[3, 7] = np.nan
+    bad = arr.copy()  # the operator's entries are read-only
+    bad[3, 7] = np.nan
     for read in (*readers, lambda mat: save_matrix(mat, tmp_path / "nan.bin")):
         with pytest.raises(ValueError, match="matrix entries must all be finite"):
-            read(arr)
+            read(bad)
     assert not (tmp_path / "nan.bin").exists()
 
 

@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoinf import (DeflatedGramOp, DenseMatrix, GramOp, LinearOp, RngStream, TransposedOp,
-                    hutchinson_diag, lowrank_diag, thin_qr)
+from twoinf import (DeflatedGramOp, DenseMatrix, GapMatrixSpec, GramOp, LinearOp, RngStream,
+                    TransposedOp, adaptive_power, gen_gap_matrix, hutchinson_diag,
+                    lowrank_diag, thin_qr)
 from twoinf.estimators import METHODS
 
 
@@ -392,3 +396,140 @@ def test_one_nonzero_products_read_at_the_size_limit(shape):
     e = np.zeros(shape[0])
     e[-1] = 0.5
     assert np.array_equal(op.apply_transpose(e), 0.5 * op.array[-1])
+
+
+# ---------------------------------------------------------------------------
+# a repeated vector is answered from the last answer
+
+
+class _CountMatmul(np.ndarray):
+    """A matrix that counts the products it sends to BLAS in ``calls``."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        _CountMatmul.calls += 1
+        return np.asarray(self) @ other
+
+
+def _counting(op):
+    """``op`` with its matrix counting BLAS products from zero."""
+    op.array = op.array.view(_CountMatmul)
+    _CountMatmul.calls = 0
+    return op
+
+
+def test_repeated_vector_is_answered_from_the_last_answer():
+    arr = np.random.default_rng(4).standard_normal((5, 3))
+    op = _counting(DenseMatrix(arr))
+    for product, m in ((op.apply, arr), (op.apply_transpose, arr.T)):
+        x = np.random.default_rng(m.shape[1]).standard_normal(m.shape[1])
+        before, blas = op.matvec_count, _CountMatmul.calls
+        for k in range(1, 4):
+            got = product(x)
+            assert got.tobytes() == (m @ x).tobytes()
+            assert op.matvec_count == before + k
+            got[:] = 7.0  # a copy: the next answer is not changed
+        assert _CountMatmul.calls == blas + 1
+        # An input changed in place is a new input.
+        x[0] += 1.0
+        assert product(x).tobytes() == (m @ x).tobytes()
+        assert _CountMatmul.calls == blas + 2
+        # A block passes the memo by, and leaves the last vector's answer.
+        block = np.stack([x, -x], axis=1)
+        for _ in range(2):
+            assert product(block).tobytes() == (m @ block).tobytes()
+        assert _CountMatmul.calls == blas + 4
+        assert product(x).tobytes() == (m @ x).tobytes()
+        assert _CountMatmul.calls == blas + 4
+        assert op.matvec_count == before + 9
+
+
+def test_memo_keys_are_the_input_bytes():
+    op = _counting(DenseMatrix(np.ones((2, 2))))
+    zero, negative_zero = np.zeros(2), -np.zeros(2)
+    for x, blas in ((zero, 1), (negative_zero, 2), (zero, 3), (zero, 3)):
+        op.apply(x)
+        assert _CountMatmul.calls == blas
+    assert op.matvec_count == 4
+
+
+def test_dense_matrix_entries_are_read_only():
+    entries = np.arange(6.0).reshape(2, 3)
+    op = DenseMatrix(entries)
+    assert not op.array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.array[0, 0] = 1.0
+    # The entries are not copied, and the caller's array stays writable.
+    assert np.shares_memory(op.array, entries) and entries.flags.writeable
+
+
+def _memo_pool(rng, n):
+    """Vectors of length ``n`` that repeat, differ only in a zero's sign or have one nonzero."""
+    g = rng.standard_normal(n)
+    flipped = g.copy()
+    flipped[0] = -flipped[0]
+    e = np.zeros(n)
+    e[rng.integers(n)] = -2.5
+    e_signed = np.where(e == 0.0, -0.0, e)
+    return [g, flipped, np.zeros(n), -np.zeros(n), e, e_signed]
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       calls=st.lists(st.tuples(st.booleans(), st.integers(0, 5)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_memo_answers_as_a_fresh_operator(seed, rows, cols, calls):
+    arr = _special_matrix(seed, rows, cols)
+    rng = np.random.default_rng(seed)
+    pools = (_memo_pool(rng, cols), _memo_pool(rng, rows))
+    op = DenseMatrix(arr)
+    with np.errstate(all="ignore"):
+        for count, (transpose, i) in enumerate(calls, 1):
+            x = pools[transpose][i]
+            fresh = DenseMatrix(arr)
+            got = (op.apply_transpose if transpose else op.apply)(x)
+            want = (fresh.apply_transpose if transpose else fresh.apply)(x)
+            assert got.tobytes() == want.tobytes()
+            assert op.matvec_count == count
+            got[:] = 7.0
+
+
+def test_settled_power_iteration_sends_a_handful_of_products_to_blas():
+    # Once the iteration settles on a row, each A x repeats the last input
+    # bit for bit; without the memo, about 400 of them would reach BLAS.
+    op = _counting(gen_gap_matrix(GapMatrixSpec(500, 500, 0.1, 2026)))
+    est = adaptive_power(op, 399, RngStream(11))
+    assert est.matvecs_used == op.matvec_count == 799
+    assert _CountMatmul.calls <= 4
+
+
+def test_memo_shared_across_threads_answers_each_input():
+    # Two threads per direction, each sending every vector four times in a
+    # row, out of step with the other: hits and misses interleave, and as
+    # each slot is one tuple, no thread gets another input's answer.
+    arr = np.random.default_rng(8).standard_normal((6, 6))
+    pool = [np.random.default_rng(k).standard_normal(6) for k in range(3)]
+    want = [(arr @ x).tobytes() for x in pool] + [(arr.T @ x).tobytes() for x in pool]
+    op = DenseMatrix(arr)
+    wrong = []
+
+    def work(k):
+        for n in range(2000):
+            i = (n // 4 + k) % 3
+            transpose = k % 2
+            got = (op.apply_transpose if transpose else op.apply)(pool[i])
+            if got.tobytes() != want[3 * transpose + i]:
+                wrong.append((k, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
