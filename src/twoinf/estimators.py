@@ -99,8 +99,10 @@ def _sum_squares(arr: np.ndarray):
 def _norm(sq: float, e: int) -> float:
     """``sqrt(sq)`` scaled back by ``2^-e``, for a sum from :func:`_sum_squares`.
 
-    Raises where the norm exceeds the float64 maximum.
+    Raises where the norm exceeds the float64 maximum, and on a sum that
+    is not finite, which only an operator's non-finite result gives.
     """
+    _require_finite(sq)
     try:
         return math.ldexp(math.sqrt(sq), -e)
     except OverflowError:
@@ -273,7 +275,8 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     not a consistent estimator.  If an iterate collapses to the zero
     vector (degenerate operators only), the best value seen so far is
     returned with ``degenerate=True``.  Where products with the operator
-    overflow float64 into a NaN or a non-finite value, raises.
+    overflow float64 into a NaN or a non-finite value, or the operator
+    returns one that would become the value, raises.
     """
     if m < 1:
         raise ValueError(f"iteration count must be positive, got {m}")
@@ -292,11 +295,13 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
             if math.isnan(top):
                 _require_finite(ax)
             if top == 0.0:
-                return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
+                return NormEstimate(_require_finite(best), None, a.matvec_count - before,
+                                    degenerate=True)
             best = max(best, top)
             x = _two_dual(a.apply_transpose(y))
             if x is None:
-                return NormEstimate(best, None, a.matvec_count - before, degenerate=True)
+                return NormEstimate(_require_finite(best), None, a.matvec_count - before,
+                                    degenerate=True)
         value = float(np.abs(a.apply(x)).max())
     _require_finite(value)
     return NormEstimate(value, None, a.matvec_count - before)

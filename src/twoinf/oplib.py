@@ -71,10 +71,9 @@ class LinearOp(ABC):
 
     Instances are immutable after construction except for the counter,
     which is a plain integer and counts every product made on the
-    instance, and :class:`DenseMatrix`'s memo of its last vector per
-    direction, which changes no answer.  Estimates may share an operator:
-    each reports its own counter difference, so the counter holds the sum
-    over them.
+    instance; a subclass may also keep state that changes no answer.
+    Estimates may share an operator: each reports its own counter
+    difference, so the counter holds the sum over them.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -146,19 +145,20 @@ class DenseMatrix(LinearOp):
     who must not write into it afterwards.  The entries must not change
     after construction, because of the memo below.
 
-    At every size, a vector with one nonzero entry ``c`` at ``j`` is
-    answered by reading the matrix: ``A (c e_j)`` is ``c A[:, j]`` and
-    ``A^T (c e_j)`` is ``c A[j]``.  The values equal BLAS's entry for
-    entry; only the sign of a zero can differ, and no estimator reads it.
-    Blocks and every other vector go to BLAS.
+    Each direction answers a product by the first of these rules that
+    applies.  A block goes to BLAS.  A vector whose bytes equal the
+    direction's last vector input gets a new copy of the answer kept for
+    it, as the power method's iterate does once it settles on a row.  A
+    vector with one nonzero entry ``c`` at ``j`` is read from the matrix,
+    at every size: ``A (c e_j)`` is ``c A[:, j]`` and ``A^T (c e_j)`` is
+    ``c A[j]``.  Any other vector goes to BLAS.  The last two keep the
+    input and a private copy of the answer, one pair per direction.
 
-    Each direction keeps its last vector input and a private copy of the
-    answer.  A vector whose bytes equal that input's, as the power
-    method's iterate does once it settles on a row, gets a new copy of the
-    kept answer.  Those are the bits BLAS gives again for the same input
-    bits in one process at one thread count, so the memo changes no value;
-    it costs one input/answer pair per direction, and blocks pass it by.
-    Every product, repeated or not, counts one matvec.
+    A read equals BLAS entry for entry; only the sign of a zero can
+    differ, and no estimator reads it.  A kept answer holds the bits BLAS
+    gives again for the same input bits in one process at one thread
+    count, so the memo changes no value.  Every product, repeated or not,
+    counts one matvec.
     """
 
     def __init__(self, entries):
@@ -184,24 +184,20 @@ class DenseMatrix(LinearOp):
         return self._answer(1, self.array.T, y)
 
     def _answer(self, side: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``m @ x`` through the memo of direction ``side``."""
+        """``m @ x`` by the class's rule; ``side`` picks the direction's memo."""
         if x.ndim != 1:
-            return _dense_product(m, x)
+            return m @ x
         key = x.tobytes()
         last = self._last[side]
         if last is not None and last[0] == key:
             return last[1].copy()
-        out = _dense_product(m, x)
+        if np.count_nonzero(x) == 1:
+            j = np.abs(x).argmax()
+            out = m[:, j] * x[j]
+        else:
+            out = m @ x
         self._last[side] = (key, out.copy())
         return out
-
-
-def _dense_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``m @ x``, read from ``m`` where ``x`` is a vector with one nonzero entry."""
-    if x.ndim == 1 and np.count_nonzero(x) == 1:
-        j = np.abs(x).argmax()
-        return m[:, j] * x[j]
-    return m @ x
 
 
 def _as_dense(mat) -> DenseMatrix:

@@ -80,11 +80,11 @@ def _probe_block(rng: RngStream, d: int, k: int) -> np.ndarray:
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
-    """Reject a non-finite result; from finite entries only overflowing products give one."""
+    """Reject a non-finite result, from overflowing products or from the operator itself."""
     if not np.all(np.isfinite(values)):
         raise ValueError(
             "non-finite values: products with the operator overflow float64; "
-            "rescale the operator"
+            "rescale the operator (or the operator itself returned a non-finite value)"
         )
     return values
 
@@ -271,5 +271,7 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
         _require_finite(image)
         raise
     del image  # Q is the one d x r array from here on
-    low = lowrank_diag(a, q)
+    # As in the image, a non-finite entry is reported by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

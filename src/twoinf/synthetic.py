@@ -119,7 +119,11 @@ def save_matrix(mat, path) -> None:
 
 
 def load_matrix(path) -> DenseMatrix:
-    """Read a matrix written by :func:`save_matrix`; validates the full layout."""
+    """Read a matrix written by :func:`save_matrix`; validates the full layout.
+
+    The operator's read-only array views the bytes read, so the payload is
+    held once.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < _HEADER.size:
@@ -141,4 +145,4 @@ def load_matrix(path) -> DenseMatrix:
             f"expected {expected} for a {rows}x{cols} matrix"
         )
     arr = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    return DenseMatrix(arr.copy())
+    return DenseMatrix(arr)

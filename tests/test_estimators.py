@@ -722,6 +722,76 @@ def test_estimates_match_plain_gemv_on_drawn_matrices(seed, rows, cols, shape, e
 
 
 # ---------------------------------------------------------------------------
+# a non-finite product raises; it never becomes the estimate
+
+
+class FaultyGemv(PlainGemv):
+    """``PlainGemv`` whose product number ``fault`` (calls counted from 0, in
+    either direction) holds ``bad`` in one entry, taken modulo its size."""
+
+    def __init__(self, array, fault=-1, entry=0, bad=math.nan):
+        super().__init__(array)
+        self.calls, self.fault, self.entry, self.bad = 0, fault, entry, bad
+
+    def _corrupt(self, out):
+        if self.calls == self.fault:
+            out.flat[self.entry % out.size] = self.bad
+        self.calls += 1
+        return out
+
+    def _apply(self, x):
+        return self._corrupt(super()._apply(x))
+
+    def _apply_transpose(self, y):
+        return self._corrupt(super()._apply_transpose(y))
+
+
+def _fault_runs():
+    """(name, run on a FaultyGemv, the run's exact norm or None for a diagonal)."""
+    runs = []
+    for name in METHODS:
+        runs.append((name, lambda op, fn=METHODS[name]: fn(op, 30, RngStream(5)), 0))
+        runs.append((f"{name} 1->2",
+                     lambda op, name=name: estimate_one_to_two(op, name, 30, RngStream(5)), 1))
+    runs.append(("hutchinson_diag",
+                 lambda op: sketch.hutchinson_diag(GramOp(op), 30, RngStream(5)), None))
+    runs.append(("hutchpp_diag", lambda op: sketch.hutchpp_diag(op, 30, RngStream(5)), None))
+    return runs
+
+
+@given(seed=st.integers(0, 2**32 - 1), entry=st.integers(0, 2**16),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), zero_rows=st.booleans(),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_non_finite_product_raises_or_leaves_the_estimate_honest(seed, entry, bad, zero_rows,
+                                                                   data):
+    arr = np.random.default_rng(seed).standard_normal((40, 30))
+    if zero_rows:
+        # An inf put into a zero row of A x leads the power iteration to that
+        # row, and so to its degenerate exit.
+        arr[::2] = 0.0
+    exact = (exact_two_to_inf(arr).value, exact_two_to_inf(arr.T).value)
+    for name, run, side in _fault_runs():
+        clean = FaultyGemv(arr)
+        run(clean)
+        last = clean.calls - 1
+        # The exact-row product is the last one twinest and twinest_pp make.
+        for k in {last, data.draw(st.integers(0, last), label=name)}:
+            op = FaultyGemv(arr, k, entry, bad)
+            try:
+                est = run(op)
+            except ValueError as err:
+                # One message names both causes.
+                assert "overflow float64" in str(err), (name, k)
+                assert "returned a non-finite value" in str(err), (name, k)
+                continue
+            assert op.calls > k, (name, k)  # the fault was made
+            assert side is not None, f"{name} returned with product {k} non-finite"
+            assert name.split()[0] not in ("twinest", "twinest_pp") or k != last, (name, k)
+            assert math.isfinite(est.value) and est.value <= exact[side] * (1 + 1e-12), (name, k)
+
+
+# ---------------------------------------------------------------------------
 # gap report and recovery bound
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_save_load_roundtrip(tmp_path):
     back = load_matrix(path)
     assert back.rows == 13 and back.cols == 9
     assert np.array_equal(back.array, mat.array)
+    # The payload is held once: a 4 MB matrix loads within 1.25x its size.
+    arr = np.random.default_rng(5).standard_normal((1000, 500))
+    save_matrix(arr, path)
+    tracemalloc.start()
+    try:
+        back = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.array, arr)
+    assert peak <= 1.25 * arr.nbytes
 
 
 def test_save_accepts_plain_arrays(tmp_path):
