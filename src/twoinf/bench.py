@@ -54,8 +54,12 @@ class BenchConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "budgets", tuple(self.budgets))
+        for attr in ("methods", "budgets"):
+            values = getattr(self, attr)
+            # tuple() would split a string into its characters.
+            if isinstance(values, (str, bytes)) or not np.iterable(values):
+                raise ValueError(f"{attr} must be a sequence, got {values!r}")
+            object.__setattr__(self, attr, tuple(values))
         named = [("budgets", b) for b in self.budgets]
         _require_integers(named + [("trials", self.trials), ("base_seed", self.base_seed)])
         for i, name in enumerate(self.methods):

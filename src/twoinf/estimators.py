@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp, _as_dense
+from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp, _as_dense, _real
 from .sketch import RngStream, _hutchpp_split, _require_finite, hutchinson_diag, hutchpp_diag
 
 __all__ = [
@@ -245,11 +245,12 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     For ``p = 2``: ``x / ||x||_2``.  For ``p = inf``: the mean of signed
     basis vectors over the set of coordinates attaining ``||x||_inf``,
     with membership decided by exact comparison against the computed
-    maximum.  The zero vector has no dual and raises.  For ``p = 2``, a
-    vector whose sum of squares :func:`_sum_squares` forms on a rescaled
-    copy is normalized from that copy.
+    maximum.  A complex ``x`` raises, and so does the zero vector, which
+    has no dual.  For ``p = 2``, a vector whose sum of squares
+    :func:`_sum_squares` forms on a rescaled copy is normalized from that
+    copy.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "dual_vector input")
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got ndim={x.ndim}")
     if p == 2:
@@ -295,16 +296,15 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
             if math.isnan(top):
                 _require_finite(ax)
             if top == 0.0:
-                return NormEstimate(_require_finite(best), None, a.matvec_count - before,
-                                    degenerate=True)
+                break
             best = max(best, top)
             x = _two_dual(a.apply_transpose(y))
             if x is None:
-                return NormEstimate(_require_finite(best), None, a.matvec_count - before,
-                                    degenerate=True)
-        value = float(np.abs(a.apply(x)).max())
-    _require_finite(value)
-    return NormEstimate(value, None, a.matvec_count - before)
+                break
+        else:
+            value = _require_finite(float(np.abs(a.apply(x)).max()))
+            return NormEstimate(value, None, a.matvec_count - before)
+    return NormEstimate(_require_finite(best), None, a.matvec_count - before, degenerate=True)
 
 
 def estimate_one_to_two(a: LinearOp, method: str, m: int, rng: RngStream) -> NormEstimate:

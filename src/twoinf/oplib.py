@@ -162,9 +162,7 @@ class DenseMatrix(LinearOp):
     """
 
     def __init__(self, entries):
-        if np.iscomplexobj(entries):
-            raise ValueError("matrix entries must be real, got complex entries")
-        arr = np.ascontiguousarray(entries, dtype=np.float64)
+        arr = np.ascontiguousarray(_real(entries, "matrix entries"))
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of entries, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):

@@ -11,6 +11,8 @@ reproduces the identical stream on every platform and every run.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis, _real
@@ -33,13 +35,16 @@ _BLOCK = 64
 class RngStream:
     """Deterministic random stream keyed by a 64-bit seed.
 
-    Backed by ``numpy.random.Philox`` (counter-based).  Streams with
-    distinct seeds are independent for practical purposes; a stream's
-    draws depend on every earlier draw, so give each estimate its own.
+    Backed by ``numpy.random.Philox`` (counter-based).  The seed must be
+    an integer (a numpy one will do); a float or a string raises a
+    ``TypeError``.  The key is the seed mod 2^64, so -1 and 2^64 - 1 give
+    one stream; streams with distinct keys are independent for practical
+    purposes.  A stream's draws depend on every earlier draw, so give each
+    estimate its own.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _SEED_MASK
+        self.seed = operator.index(seed) & _SEED_MASK
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def rademacher(self, size: int) -> np.ndarray:
@@ -262,16 +267,14 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     r, residual_samples = _hutchpp_split(m, d)
     with np.errstate(over="ignore", invalid="ignore"):
         image = GramOp(a).apply(_probe_block(rng, d, r))
-    try:
-        q = thin_qr(image)
-    except ValueError:
-        # The image is a real d x r block with r <= d, so thin_qr can only
-        # have found a non-finite entry: its one scan of the image stands
-        # for ours, which runs here only to say that the products overflowed.
-        _require_finite(image)
-        raise
-    del image  # Q is the one d x r array from here on
-    # As in the image, a non-finite entry is reported by the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            q = thin_qr(image)
+        except ValueError:
+            # The image is a real d x r block with r <= d, so thin_qr can only
+            # have found a non-finite entry: its one scan of the image stands
+            # for ours, which runs here only to say that the products overflowed.
+            _require_finite(image)
+            raise
+        del image  # Q is the one d x r array from here on
         low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

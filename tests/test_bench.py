@@ -95,6 +95,9 @@ def test_config_rejects_unknown_method():
     with pytest.raises(ValueError, match="'twinest' listed more than once"):
         BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0),
                     methods=("twinest", "twinest_pp", "twinest"), budgets=(10,))
+    # A bare name is not a one-name sequence: tuple() would split it into letters.
+    with pytest.raises(ValueError, match="^methods must be a sequence, got 'twinest'"):
+        BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0), methods="twinest", budgets=(10,))
 
 
 def test_config_rejects_bad_budgets():
@@ -105,6 +108,9 @@ def test_config_rejects_bad_budgets():
         BenchConfig(source=src, methods=("twinest",), budgets=(0, 10))
     with pytest.raises(ValueError, match="at least one budget"):
         BenchConfig(source=src, methods=("twinest",), budgets=())
+    for budgets in ("10", 10, np.int64(10), b"\n"):
+        with pytest.raises(ValueError, match="^budgets must be a sequence"):
+            BenchConfig(source=src, methods=("twinest",), budgets=budgets)
 
 
 def test_config_rejects_bad_counts():

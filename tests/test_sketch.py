@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from twoinf import (
     GramOp,
     RngStream,
     TransposedOp,
+    dual_vector,
     hutchinson_diag,
     hutchpp_diag,
     lowrank_diag,
@@ -21,6 +23,17 @@ from twoinf.sketch import _BLOCK, _probe_block
 
 # ---------------------------------------------------------------------------
 # Rademacher stream
+
+
+def test_rng_stream_takes_an_integer_seed():
+    # int() would truncate 1.5 to seed 1's stream and parse "7".
+    for seed in (1.5, np.float64(1.9), "7"):
+        with pytest.raises(TypeError):
+            RngStream(seed)
+    for seed in (np.int64(7), np.uint8(7)):
+        assert np.array_equal(RngStream(seed).normal(4), RngStream(7).normal(4))
+    # The key is the seed mod 2^64.
+    assert np.array_equal(RngStream(-1).normal(4), RngStream(2**64 - 1).normal(4))
 
 
 def test_rademacher_values_and_replay():
@@ -229,6 +242,9 @@ def test_complex_inputs_raise_naming_the_argument():
         with pytest.raises(ValueError, match="^basis must be real, got complex"):
             lowrank_diag(a, basis)
     assert a.matvec_count == 0
+    for p in (2, math.inf):
+        with pytest.raises(ValueError, match="^dual_vector input must be real"):
+            dual_vector(np.array([3 + 4j, 1.0]), p)
 
 
 def test_thin_qr_empty_basis_passthrough():
