@@ -26,11 +26,12 @@ model (``budget_to_samples``, ``method_cost``, ``method_flops``) read it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp, _as_dense, _real
+from .oplib import DenseMatrix, GramOp, LinearOp, TransposedOp, _as_dense, _checked
 from .sketch import RngStream, _hutchpp_split, _require_finite, hutchinson_diag, hutchpp_diag
 
 __all__ = [
@@ -245,14 +246,12 @@ def dual_vector(x: np.ndarray, p: float) -> np.ndarray:
     For ``p = 2``: ``x / ||x||_2``.  For ``p = inf``: the mean of signed
     basis vectors over the set of coordinates attaining ``||x||_inf``,
     with membership decided by exact comparison against the computed
-    maximum.  A complex ``x`` raises, and so does the zero vector, which
-    has no dual.  For ``p = 2``, a vector whose sum of squares
-    :func:`_sum_squares` forms on a rescaled copy is normalized from that
-    copy.
+    maximum.  An ``x`` that is complex, not finite or not a vector raises,
+    and so does the zero vector, which has no dual.  For ``p = 2``, a
+    vector whose sum of squares :func:`_sum_squares` forms on a rescaled
+    copy is normalized from that copy.
     """
-    x = _real(x, "dual_vector input")
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={x.ndim}")
+    x = _checked(x, "dual_vector input", 1)
     if p == 2:
         out = _two_dual(x)
         if out is not None:
@@ -401,14 +400,14 @@ def budget_to_samples(method: str, budget: int):
     the harness can emit a diagnostic row instead of a measurement.
     """
     extra, step = _cost_entry(method)
-    m = (budget - extra) // 2 // step * step
+    m = (operator.index(budget) - extra) // 2 // step * step
     return m if m >= step else None
 
 
 def method_cost(method: str, m: int) -> int:
     """Exact matvec count the method consumes for sample parameter ``m``."""
     extra, _ = _cost_entry(method)
-    return 2 * m + extra
+    return 2 * operator.index(m) + extra
 
 
 def method_flops(method: str, m: int, rows: int, cols: int) -> float:

@@ -11,6 +11,7 @@ reflects the true number of products with ``A`` and ``A^T``.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -41,15 +42,23 @@ def _real(values, what: str) -> np.ndarray:
     return values.astype(_F64)
 
 
+def _checked(values, what: str, ndim: int) -> np.ndarray:
+    """``values`` read by :func:`_real`; raises unless it is a finite ``ndim``-d array."""
+    values = _real(values, what)
+    if values.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-d, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} entries must all be finite")
+    return values
+
+
 def _as_basis(basis, rows: int) -> np.ndarray:
-    """``basis`` as a float64 array; raises unless it is a real, finite ``rows x r`` array."""
-    basis = _real(basis, "basis")
-    if basis.ndim != 2 or basis.shape[0] != rows:
+    """``basis`` read by :func:`_checked`; raises unless it also has ``rows`` rows."""
+    basis = _checked(basis, "basis", 2)
+    if basis.shape[0] != rows:
         raise ValueError(
             f"basis must be {rows}xr for an operator with {rows} rows, got shape {basis.shape}"
         )
-    if not np.all(np.isfinite(basis)):
-        raise ValueError("basis entries must all be finite")
     return basis
 
 
@@ -77,10 +86,11 @@ class LinearOp(ABC):
     """
 
     def __init__(self, rows: int, cols: int):
+        rows, cols = operator.index(rows), operator.index(cols)
         if rows < 1 or cols < 1:
             raise ValueError(f"operator dimensions must be positive, got {rows}x{cols}")
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows = rows
+        self.cols = cols
         self._matvecs = 0
 
     @property
@@ -139,10 +149,10 @@ class LinearOp(ABC):
 class DenseMatrix(LinearOp):
     """Row-major dense matrix acting as its own exact matvec oracle.
 
-    ``entries`` is stored as a C-contiguous float64 array; complex entries
-    raise.  ``array`` is a read-only view of it, and it is not copied: an
-    array that is already C-contiguous float64 is shared with the caller,
-    who must not write into it afterwards.  The entries must not change
+    ``entries`` is stored as a C-contiguous float64 array; entries that are
+    complex, not finite or not 2-d raise.  ``array`` is a read-only view of
+    it, and it is not copied: an array that is already C-contiguous float64
+    is shared with the caller, who must not write into it afterwards.  The entries must not change
     after construction, because of the memo below.
 
     Each direction answers a product by the first of these rules that
@@ -162,11 +172,7 @@ class DenseMatrix(LinearOp):
     """
 
     def __init__(self, entries):
-        arr = np.ascontiguousarray(_real(entries, "matrix entries"))
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d array of entries, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must all be finite")
+        arr = np.ascontiguousarray(_checked(entries, "matrix", 2))
         super().__init__(arr.shape[0], arr.shape[1])
         self.array = arr.view()
         self.array.flags.writeable = False

@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis, _real
+from .oplib import DeflatedGramOp, GramOp, LinearOp, _as_basis, _checked
 
 __all__ = [
     "RngStream",
@@ -122,10 +122,10 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis whose range contains the range of ``mat``.
 
     The ``Q`` of a Householder QR, as a new ``d x r`` float64 array; ``mat``
-    is left as it is, and may be read-only; a complex ``mat`` raises.  The
-    columns are orthonormal even when ``mat`` is rank deficient, in which
-    case the surplus columns are deterministic directions produced by the
-    trailing reflectors.
+    is left as it is, and may be read-only; a ``mat`` that is complex, not
+    finite or wider than it is tall raises.  The columns are orthonormal
+    even when ``mat`` is rank deficient, in which case the surplus columns
+    are deterministic directions produced by the trailing reflectors.
 
     The QR is recursive and blocked (Elmroth and Gustavson, 2000).  The
     columns are split in halves down to leaves of at most ``_LEAF``
@@ -149,14 +149,10 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     projectors agree to 1e-12); the surplus columns of a rank-deficient
     input differ entirely.
     """
-    mat = _real(mat, "thin_qr input")
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got ndim={mat.ndim}")
+    mat = _checked(mat, "thin_qr input", 2)
     d, r = mat.shape
     if r > d:
         raise ValueError(f"need at most as many columns as rows, got {d}x{r}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("input to thin_qr must be finite")
     v = mat.copy()
     t = _reflectors(v)
     # Q = (I - V T V^T) E = E + V M, with E the first r columns of the
@@ -261,6 +257,7 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     the image and the QR's copy, and ``Q`` and ``A A^T Q`` are each alive
     together.
     """
+    m = operator.index(m)
     if m < 3:
         raise ValueError(f"budget must be at least 3, got {m}")
     d = a.rows

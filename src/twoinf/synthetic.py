@@ -145,4 +145,7 @@ def load_matrix(path) -> DenseMatrix:
             f"expected {expected} for a {rows}x{cols} matrix"
         )
     arr = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    return DenseMatrix(arr)
+    try:
+        return DenseMatrix(arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

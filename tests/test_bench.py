@@ -65,6 +65,13 @@ def test_budget_to_samples_table():
     assert budget_to_samples("rademacher_averaging", 1) is None
     with pytest.raises(ValueError, match="unknown method"):
         budget_to_samples("power", 10)
+    # Budgets and m are integers; a numpy integer passes.
+    for budget in (10.5, np.float64(11)):
+        with pytest.raises(TypeError):
+            budget_to_samples("twinest", budget)
+    with pytest.raises(TypeError):
+        method_cost("twinest", 2.5)
+    assert budget_to_samples("twinest", np.int64(10)) == 4
 
 
 def test_method_cost_never_exceeds_budget():

@@ -205,6 +205,10 @@ def test_twinest_pp_exact_recovery_when_sketch_covers_rank():
 def test_twinest_pp_rejects_small_budget():
     with pytest.raises(ValueError, match="at least 3"):
         twinest_pp(DenseMatrix(np.eye(2)), 2, RngStream(0))
+    # A float m raises Python's own TypeError in every method, not numpy's.
+    for method in METHODS.values():
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            method(DenseMatrix(np.eye(2)), 4.0, RngStream(0))
 
 
 def test_twinest_pp_matvec_accounting():

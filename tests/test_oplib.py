@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoinf import (DeflatedGramOp, DenseMatrix, GapMatrixSpec, GramOp, LinearOp, RngStream,
-                    TransposedOp, adaptive_power, gen_gap_matrix, hutchinson_diag,
-                    lowrank_diag, thin_qr)
+                    TransposedOp, adaptive_power, dual_vector, gen_gap_matrix, lowrank_diag,
+                    thin_qr)
 from twoinf.estimators import METHODS
 
 
@@ -161,14 +162,23 @@ def test_deflated_rejects_non_orthonormal_basis():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_basis_raises_naming_the_basis(bad):
+def test_non_finite_inputs_raise_naming_the_argument(bad):
+    # Every array that enters the package from outside goes through one check.
     a = DenseMatrix(np.eye(3))
-    basis = np.eye(3)[:, :2]
-    basis[1, 1] = bad
-    with pytest.raises(ValueError, match="basis entries must all be finite"):
-        hutchinson_diag(DeflatedGramOp(a, basis), 4, RngStream(0))
-    with pytest.raises(ValueError, match="basis entries must all be finite"):
-        lowrank_diag(a, basis)
+    block = np.eye(3)[:, :2]
+    block[1, 1] = bad
+    vector = np.array([1.0, bad])
+    cases = (
+        ("matrix", lambda: DenseMatrix(block)),
+        ("basis", lambda: DeflatedGramOp(a, block)),
+        ("basis", lambda: lowrank_diag(a, block)),
+        ("thin_qr input", lambda: thin_qr(block)),
+        ("dual_vector input", lambda: dual_vector(vector, 2)),
+        ("dual_vector input", lambda: dual_vector(vector, math.inf)),
+    )
+    for what, call in cases:
+        with pytest.raises(ValueError, match=f"^{what} entries must all be finite$"):
+            call()
     assert a.matvec_count == 0
 
 
@@ -291,6 +301,10 @@ def test_products_are_read_as_float64():
     out = op.apply(np.array([1.0, 2.0]))
     assert out.dtype == np.float64 and np.array_equal(out, [2.0, 4.0])
     assert op.apply_transpose(np.ones(2)).dtype == np.float64
+    # int() would make (2.7, 3.9) a 2x3 operator; a numpy integer passes.
+    with pytest.raises(TypeError):
+        ListOp(2.7, 3.9)
+    assert ListOp(np.int64(2), np.uint8(3)).cols == 3
 
     class ComplexOp(ListOp):
         def _apply_transpose(self, y):

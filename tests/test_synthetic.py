@@ -205,6 +205,20 @@ def test_load_truncated_payload(tmp_path):
         load_matrix(path)
 
 
+def test_load_names_the_file_when_the_matrix_refuses_it(tmp_path):
+    path = tmp_path / "refused.mat"
+    save_matrix(np.ones((1, 3)), path)
+    data = path.read_bytes()
+    # A NaN entry, and a 0x3 header with its empty payload.
+    for bad, message in ((data[:32] + np.array([np.nan]).tobytes() + data[40:],
+                          "matrix entries must all be finite"),
+                         (data[:16] + (0).to_bytes(8, "little") + data[24:32],
+                          "operator dimensions must be positive, got 0x3")):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_matrix(path)
+
+
 # ---------------------------------------------------------------------------
 # the package's public names
 
