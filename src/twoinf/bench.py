@@ -80,7 +80,12 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One measurement row; ``skipped`` marks a budget-too-small diagnostic."""
+    """One measurement row; ``skipped`` marks a budget-too-small diagnostic.
+
+    ``matvecs_used`` is the method's cost-model count; ``products`` is the
+    products the trial made on the campaign's operator, its counter
+    difference (0 on a skipped row).  No CSV column holds ``products``.
+    """
 
     method: str
     matvec_budget: int
@@ -91,6 +96,7 @@ class BenchRecord:
     rel_error: float
     wall_ms: float
     matvecs_used: int
+    products: int = 0
     flops: float = math.nan
     skipped: bool = False
 
@@ -139,12 +145,14 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
             for trial in range(cfg.trials):
                 seed = cfg.base_seed + trial
                 rng = RngStream(seed)
+                before = mat.matvec_count
                 start = time.perf_counter()
                 est = METHODS[method](mat, m, rng)
                 wall_ms = (time.perf_counter() - start) * 1e3
                 records.append(BenchRecord(method, budget, trial, seed, est.value, exact,
                                            abs(est.value - exact) / exact, wall_ms,
-                                           est.matvecs_used, flops))
+                                           est.matvecs_used, mat.matvec_count - before,
+                                           flops=flops))
     return records
 
 

@@ -54,7 +54,9 @@ class RngStream:
         so the mapping is identical on every platform.  ``random_raw`` is
         the documented access point for the underlying word stream and
         avoids per-call bounded-integer overhead in the sampling loops.
+        The size must be an integer, as the seed must.
         """
+        size = operator.index(size)
         if size < 1:
             raise ValueError(f"dimension must be positive, got {size}")
         words = self._gen.bit_generator.random_raw((size + 63) // 64)
@@ -136,7 +138,8 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
     and ``R`` is never formed.  The Householder vectors ``V`` overwrite a
     copy of ``mat``, and ``Q = E + V M``, with ``M = -T V1^T``, is formed
     over that same copy in chunks of rows, so no second ``d x r`` array is
-    allocated.  LAPACK's own ``dgeqrf``/``dorgqr`` run their unblocked,
+    allocated; the largest temporary is the first trailing update's
+    ``d x r/2`` product.  LAPACK's own ``dgeqrf``/``dorgqr`` run their unblocked,
     matrix-vector code below 128 columns, where every call is short and
     OpenBLAS synchronises its threads on each; that made the QR cost more
     than all the products of a 2000-row Hutch++ estimate.  At 40 to 133
@@ -172,10 +175,8 @@ def thin_qr(mat: np.ndarray) -> np.ndarray:
 # benchmark's sketches, BENCH_qr.json).
 _LEAF = 16
 
-# Rows per chunk of a trailing update and of forming Q.  A chunk's product
-# is a temporary small enough to reuse heap memory; one as large as the
-# trailing block is mapped afresh on each call, which took longer than the
-# product itself.
+# Rows per chunk of forming Q over the copy that holds V, so that no second
+# d x r array is allocated.
 _ROWS = 256
 
 
@@ -186,7 +187,7 @@ def _reflectors(a: np.ndarray) -> np.ndarray:
     written out; ``R`` is not kept.  Returns the upper triangular ``T`` with
     ``H_1 ... H_n = I - V T V^T``.
     """
-    m, n = a.shape
+    n = a.shape[1]
     if n <= _LEAF:
         h, tau = np.linalg.qr(a, mode="raw")
         a[...] = h.T
@@ -201,9 +202,7 @@ def _reflectors(a: np.ndarray) -> np.ndarray:
     a1, a2 = a[:, :k], a[:, k:]
     t1 = _reflectors(a1)
     # Apply the first half's H^T = I - V1 T1^T V1^T to the second half.
-    w = t1.T @ (a1.T @ a2)
-    for start in range(0, m, _ROWS):
-        a2[start:start + _ROWS] -= a1[start:start + _ROWS] @ w
+    a2 -= a1 @ (t1.T @ (a1.T @ a2))
     t2 = _reflectors(a2[k:])
     a2[:k] = 0.0  # R's top right block, where V is zero
     t = np.zeros((n, n))
@@ -242,20 +241,21 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
 
     The sketch width is capped at the operator side ``d``; surplus budget
     goes to residual samples (deflation cannot use more than ``d``
-    directions).  The sketch is applied as one block; an image that
-    overflows float64 raises before it is factored, found by
-    :func:`thin_qr`'s own scan and reported as an overflow.  ``Q`` comes from
-    :func:`thin_qr`, which factors a copy, so the image may be read-only or
-    an array the operator keeps, and it is freed once ``Q`` exists.
+    directions).  The sketch is applied as one block, and its image is
+    checked before it is factored, so an image that overflows float64
+    raises as an overflow.  ``Q`` comes from :func:`thin_qr`, which factors
+    a copy, so the image may be read-only or an array the operator keeps,
+    and it is freed once ``Q`` exists.
 
     With ``r`` sketch columns and residual blocks of ``k <= 64`` probes, the
     working set is ``d (r + 2k)`` floats beyond the probe draw's one byte
     per bit: ``Q``, a probe block and one more ``d x k`` block, since the
     deflated product holds its projected block only through the ``A^T``
     product (:class:`~twoinf.oplib.DeflatedGramOp`).  A sketch wider than
-    ``2k`` columns peaks at ``2 d r`` instead: the sketch and its image,
-    the image and the QR's copy, and ``Q`` and ``A A^T Q`` are each alive
-    together.
+    ``4k/3`` columns peaks at about ``5 d r / 2``, in the QR: the image,
+    its copy and the product of the first trailing update, ``d x r/2``, are
+    alive together.  Before it, the sketch and its image, and after it,
+    ``Q`` and ``A A^T Q``, each take ``2 d r``.
     """
     m = operator.index(m)
     if m < 3:
@@ -263,15 +263,6 @@ def hutchpp_diag(a: LinearOp, m: int, rng: RngStream) -> np.ndarray:
     d = a.rows
     r, residual_samples = _hutchpp_split(m, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        image = GramOp(a).apply(_probe_block(rng, d, r))
-        try:
-            q = thin_qr(image)
-        except ValueError:
-            # The image is a real d x r block with r <= d, so thin_qr can only
-            # have found a non-finite entry: its one scan of the image stands
-            # for ours, which runs here only to say that the products overflowed.
-            _require_finite(image)
-            raise
-        del image  # Q is the one d x r array from here on
+        q = thin_qr(_require_finite(GramOp(a).apply(_probe_block(rng, d, r))))
         low = lowrank_diag(a, q)
     return _require_finite(low + hutchinson_diag(DeflatedGramOp(a, q), residual_samples, rng))

@@ -226,16 +226,19 @@ def test_run_bench_properties(campaign):
     assert [(r.method, r.matvec_budget, r.trial) for r in records] == plan
     assert all(r.skipped == (r.trial == -1) for r in records)
     # Every trial runs on the one operator the campaign resolved, so its
-    # counter holds the products of all the records.
+    # counter holds the products of all the records.  Each method makes, for
+    # now, every product its cost model counts.
     [op] = resolved
+    assert op.matvec_count == sum(r.products for r in records)
     assert op.matvec_count == sum(r.matvecs_used for r in records)
 
     row_norms = np.linalg.norm(arr, axis=1)
     for r in records:
         if r.skipped:
+            assert r.products == 0
             continue
         m = budget_to_samples(r.method, r.matvec_budget)
-        assert r.matvecs_used == method_cost(r.method, m) <= r.matvec_budget
+        assert r.products <= r.matvecs_used == method_cost(r.method, m) <= r.matvec_budget
         if r.method in ("twinest", "twinest_pp"):
             assert r.estimate <= r.exact * (1 + 1e-12)
             assert np.min(np.abs(row_norms - r.estimate)) <= 1e-12 * r.estimate

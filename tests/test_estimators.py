@@ -924,6 +924,13 @@ def test_scale_equivariance_power_of_two():
         for run in (METHODS[name], lambda a, m, r: estimate_one_to_two(a, name, m, r)):
             with pytest.raises(ValueError, match="overflow float64; rescale the operator"):
                 run(huge, 6, RngStream(9))
+    # Hutch++ finds the overflow before it factors its sketch, whatever factors it.
+    _lapack_q.calls = 0
+    with mock.patch.object(sketch, "thin_qr", _lapack_q):
+        for run in (twinest_pp, lambda a, m, r: estimate_one_to_two(a, "twinest_pp", m, r)):
+            with pytest.raises(ValueError, match="overflow float64; rescale the operator"):
+                run(huge, 6, RngStream(9))
+    assert _lapack_q.calls == 0
 
 
 @given(scale=st.floats(0.1, 10.0, allow_nan=False))

@@ -46,6 +46,9 @@ def test_rademacher_values_and_replay():
 def test_rademacher_zero_dim_rejected():
     with pytest.raises(ValueError, match="positive"):
         RngStream(0).rademacher(0)
+    for size in (4.0, "4"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            RngStream(0).rademacher(size)
 
 
 def test_rademacher_empirical_mean():
