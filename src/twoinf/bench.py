@@ -231,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {', '.join(METHODS)}")
     p.add_argument("--budgets", required=True,
                    help="comma list of strictly increasing matvec budgets")
-    p.add_argument("--trials", type=int, default=BenchConfig.trials,
+    p.add_argument("--trials", type=_number, default=BenchConfig.trials,
                    help="trials per (method, budget)")
-    p.add_argument("--seed", type=int, default=BenchConfig.base_seed,
+    p.add_argument("--seed", type=_number, default=BenchConfig.base_seed,
                    help="base seed; trial t uses seed+t")
     p.add_argument("--out", default="bench.csv", help="output CSV path")
     p.add_argument("--no-walltime", dest="include_walltime", action="store_false",
@@ -243,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _whole(word: str):
-    """``word`` as an int; any other word is kept, for the field's check to name."""
+def _number(word: str, kind=int):
+    """``word`` as a ``kind``; any other word is kept, for the field's check to name."""
     try:
-        return int(word)
+        return kind(word)
     except ValueError:
         return word
 
@@ -255,20 +255,16 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
     """The campaign a parsed ``twoinf-bench`` command line describes."""
     if args.gap:
         d, n, delta = args.gap
-        try:
-            gap = float(delta)
-        except ValueError:
-            raise ValueError(f"gap: {delta!r} is not a number") from None
-        source = GapMatrixSpec(_whole(d), _whole(n), gap, args.seed)
+        source = GapMatrixSpec(_number(d), _number(n), _number(delta, float), args.seed)
     elif args.tall:
         d, n = args.tall
-        source = TallMatrixSpec(_whole(d), _whole(n), args.seed)
+        source = TallMatrixSpec(_number(d), _number(n), args.seed)
     else:
         source = args.load
     return BenchConfig(
         source=source,
         methods=tuple(m.strip() for m in args.methods.split(",")),
-        budgets=tuple(_whole(b) for b in args.budgets.replace(",", " ").split()),
+        budgets=tuple(_number(b) for b in args.budgets.replace(",", " ").split()),
         trials=args.trials,
         base_seed=args.seed,
     )

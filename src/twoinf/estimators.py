@@ -278,6 +278,7 @@ def adaptive_power(a: LinearOp, m: int, rng: RngStream) -> NormEstimate:
     overflow float64 into a NaN or a non-finite value, or the operator
     returns one that would become the value, raises.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"iteration count must be positive, got {m}")
     before = a.matvec_count
@@ -335,8 +336,7 @@ def compute_gap(mat) -> GapReport:
         word = "underflow" if e > 0 else "overflow"
         raise ValueError(f"squared row norms {word} float64; rescale the matrix")
     in_band = sq >= top - DEFAULT_TIE_TOL * top
-    rest = sq[~in_band]
-    gap = math.inf if rest.size == 0 else float(top - rest.max())
+    gap = float(top - sq[~in_band].max(initial=-math.inf))
     return GapReport(top, gap, [int(i) for i in np.flatnonzero(in_band)])
 
 

@@ -247,17 +247,15 @@ class DeflatedGramOp(GramOp):
 
     def __init__(self, inner: LinearOp, basis: np.ndarray):
         basis = _as_basis(basis, inner.rows)
-        r = basis.shape[1]
-        if r > 0:
-            # An overflowing Q^T Q gives an inf or NaN defect, which the test
-            # below rejects ("not defect <= tol" fails on a NaN too), so
-            # numpy's warnings on the way there are not needed.
-            with np.errstate(over="ignore", invalid="ignore"):
-                defect = np.abs(basis.T @ basis - np.eye(r)).max()
-            if not defect <= ORTHONORMALITY_TOL:
-                raise ValueError(
-                    f"basis columns are not orthonormal: max |Q^T Q - I| = {defect:.3e}"
-                )
+        # An overflowing Q^T Q gives an inf or NaN defect, which the test
+        # below rejects ("not defect <= tol" fails on a NaN too), so numpy's
+        # warnings on the way there are not needed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0)
+        if not defect <= ORTHONORMALITY_TOL:
+            raise ValueError(
+                f"basis columns are not orthonormal: max |Q^T Q - I| = {defect:.3e}"
+            )
         super().__init__(inner)
         self.basis = basis
 

@@ -109,6 +109,7 @@ def hutchinson_diag(op: LinearOp, m: int, rng: RngStream) -> np.ndarray:
         raise ValueError(
             f"diagonal estimation needs a square operator, got {op.rows}x{op.cols}"
         )
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
     acc = np.zeros(op.rows)

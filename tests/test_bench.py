@@ -105,6 +105,8 @@ def test_config_rejects_unknown_method():
     # A bare name is not a one-name sequence: tuple() would split it into letters.
     with pytest.raises(ValueError, match="^methods must be a sequence, got 'twinest'"):
         BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0), methods="twinest", budgets=(10,))
+    with pytest.raises(ValueError, match="need at least one method"):
+        BenchConfig(source=GapMatrixSpec(4, 4, 0.2, 0), methods=(), budgets=(10,))
 
 
 def test_config_rejects_bad_budgets():
@@ -139,17 +141,25 @@ def test_config_rejects_non_integer_counts():
 
 
 def test_cli_rejects_non_integer_budgets(tmp_path, monkeypatch, capsys):
-    # Every numeric word names its field, whether the spec or the config rejects it.
+    # Every numeric word names its field, whether the spec or the config
+    # rejects it; argparse checks only the shape of the command line.
     monkeypatch.chdir(tmp_path)
+    save_matrix(np.eye(3), tmp_path / "m.bin")
     for argv, message in (
         (["--gap", "8", "8", "0.2", "--budgets", "10.5"], "budgets: '10.5' is not an integer"),
         (["--gap", "8", "8", "abc", "--budgets", "10"], "gap: 'abc' is not a number"),
         (["--gap", "8.5", "8", "0.2", "--budgets", "10"], "rows: '8.5' is not an integer"),
         (["--tall", "20", "x", "--budgets", "10"], "cols: 'x' is not an integer"),
+        (["--gap", "8", "8", "0.2", "--budgets", "10", "--trials", "2.5"],
+         "error: trials: '2.5' is not an integer"),
+        (["--gap", "8", "8", "0.2", "--budgets", "10", "--seed", "x"],
+         "error: seed: 'x' is not an integer"),
+        (["--load", "m.bin", "--budgets", "10", "--seed", "x"],
+         "error: base_seed: 'x' is not an integer"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.bin"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +313,9 @@ def test_run_bench_rejects_zero_matrix(tmp_path):
     save_matrix(np.zeros((3, 3)), path)
     with pytest.raises(ValueError, match="zero"):
         run_bench(BenchConfig(source=path, methods=("twinest",), budgets=(9,)))
+    # A source that is neither a spec nor a path is named by its type.
+    with pytest.raises(TypeError, match="^unsupported matrix source ndarray$"):
+        run_bench(BenchConfig(source=np.eye(3), methods=("twinest",), budgets=(9,)))
 
 
 def test_run_bench_tall_source():

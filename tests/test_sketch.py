@@ -393,23 +393,25 @@ def test_hutchpp_beats_hutchinson_on_lowrank_structure():
 
 
 def test_hutchpp_working_set_is_one_basis_and_two_blocks():
-    # 2000 x 50 at m = 240: r = 80 sketch columns, then residual blocks of
-    # 64 and 16 probes.  At its peak the estimate may hold Q and two d x 64
+    # 2000 x 50 at m = 3r: r sketch columns, then residual blocks of up to
+    # 64 probes.  At its peak the estimate may hold Q and two d x 64
     # blocks, plus the probe draw's one byte per bit; the sketch image (a
     # second d x r array) and the projected block (a third d x 64) must be
-    # freed by then.
-    d, r = 2000, 80
+    # freed by then.  From r = 100 the QR's first trailing update sets the
+    # peak instead, at about 5 d r / 2 floats, as hutchpp_diag states.
+    d = 2000
     a = DenseMatrix(np.random.default_rng(5).standard_normal((d, 50)))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        hutchpp_diag(a, 3 * r, RngStream(5))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
     bits = _BLOCK * 64 * -(-d // 64)
-    assert peak <= 1.05 * (8 * d * (r + 2 * _BLOCK) + bits)
+    for r in (80, 100, 133, 160):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            hutchpp_diag(a, 3 * r, RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (8 * d * max(r + 2 * _BLOCK, 5 * r / 2) + bits), r
 
 
 def test_hutchpp_replay_bit_identical():
@@ -422,6 +424,8 @@ def test_hutchpp_replay_bit_identical():
 def test_diag_estimate_validation():
     with pytest.raises(ValueError, match="positive"):
         hutchinson_diag(DenseMatrix(np.eye(2)), 0, RngStream(0))
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        hutchinson_diag(DenseMatrix(np.eye(2)), "4", RngStream(0))
     # Products of 1e200-scale entries overflow to inf and then NaN in the sum.
     with pytest.raises(ValueError, match="non-finite values: products with the operator overflow"):
         hutchinson_diag(GramOp(DenseMatrix(np.full((3, 3), 1e200))), 2, RngStream(0))

@@ -65,6 +65,8 @@ def test_gap_matrix_uniform_levels_centered():
 def test_gap_spec_validation():
     with pytest.raises(ValueError, match="2 rows"):
         GapMatrixSpec(1, 5, 0.1, seed=0)
+    with pytest.raises(ValueError, match="need at least 1 column, got 0"):
+        GapMatrixSpec(5, 0, 0.1, seed=0)
     with pytest.raises(ValueError, match="gap"):
         GapMatrixSpec(5, 5, 0.0, seed=0)
     with pytest.raises(ValueError, match="gap"):
