@@ -405,9 +405,15 @@ def budget_to_samples(method: str, budget: int):
 
 
 def method_cost(method: str, m: int) -> int:
-    """Exact matvec count the method consumes for sample parameter ``m``."""
-    extra, _ = _cost_entry(method)
-    return 2 * operator.index(m) + extra
+    """Exact matvec count the method consumes for sample parameter ``m``.
+
+    An ``m`` below the method's smallest raises, as the method itself does.
+    """
+    extra, step = _cost_entry(method)
+    m = operator.index(m)
+    if m < step:
+        raise ValueError(f"{method} needs m of at least {step}, got {m}")
+    return 2 * m + extra
 
 
 def method_flops(method: str, m: int, rows: int, cols: int) -> float:

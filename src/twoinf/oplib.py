@@ -92,6 +92,8 @@ class LinearOp(ABC):
         self.rows = rows
         self.cols = cols
         self._matvecs = 0
+        # The name every product's error message and the repr begin with.
+        self._label = f"{type(self).__name__} ({rows}x{cols})"
 
     @property
     def matvec_count(self) -> int:
@@ -113,25 +115,18 @@ class LinearOp(ABC):
         block, which counts k matvecs.  The result, read as float64, must be
         real and a vector of length ``out_side`` or an ``out_side x k`` block.
         """
-        # Float64 arrays, the estimators' only inputs and results, pass on an
-        # identity test of the dtype; only other dtypes go through _real.
-        x = np.asarray(x)
-        if x.dtype is not _F64:
-            x = _real(x, f"{type(self).__name__} ({self.rows}x{self.cols}): {name} input")
+        x = _real(x, f"{self._label}: {name} input")
         if x.ndim not in (1, 2) or x.shape[0] != side:
             raise ValueError(
                 f"{name} expects a vector of length {side} or a {side}xk block "
                 f"(operator is {self.rows}x{self.cols}), got shape {x.shape}"
             )
         self._matvecs += 1 if x.ndim == 1 else x.shape[1]
-        out = np.asarray(product(x))
-        if out.dtype is not _F64:
-            out = _real(out, f"{type(self).__name__} ({self.rows}x{self.cols}): "
-                             f"{name} of shape {x.shape} result")
+        out = _real(product(x), f"{self._label}: {name} result")
         expected = (out_side, *x.shape[1:])
         if out.shape != expected:
             raise ValueError(
-                f"{type(self).__name__} ({self.rows}x{self.cols}): {name} of shape {x.shape} "
+                f"{self._label}: {name} of shape {x.shape} "
                 f"returned shape {out.shape}, expected {expected}"
             )
         return out
@@ -143,7 +138,7 @@ class LinearOp(ABC):
     def _apply_transpose(self, y: np.ndarray) -> np.ndarray: ...
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.rows}x{self.cols}, matvecs={self._matvecs}>"
+        return f"<{self._label}, matvecs={self._matvecs}>"
 
 
 class DenseMatrix(LinearOp):

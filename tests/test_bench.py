@@ -72,6 +72,15 @@ def test_budget_to_samples_table():
     with pytest.raises(TypeError):
         method_cost("twinest", 2.5)
     assert budget_to_samples("twinest", np.int64(10)) == 4
+    # The cost model rejects the m its method rejects; the smallest m is the step.
+    for method, m, step in (("twinest", -5, 1), ("twinest_pp", 2, 3), ("adaptive_power", 0, 1),
+                            ("rademacher_averaging", 0, 1)):
+        with pytest.raises(ValueError, match=f"^{method} needs m of at least {step}, got {m}$"):
+            method_cost(method, m)
+    with pytest.raises(ValueError, match="^twinest needs m of at least 1, got -5$"):
+        method_flops("twinest", -5, 10, 10)
+    assert method_cost("twinest_pp", 4) == 9
+    assert method_cost("twinest_pp", 3) == 7
 
 
 def test_method_cost_never_exceeds_budget():

@@ -15,6 +15,7 @@ from twoinf.estimators import METHODS
 
 def test_dense_apply_extracts_column():
     a = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
+    assert repr(a) == "<DenseMatrix (2x2), matvecs=0>"
     assert np.array_equal(a.apply([1.0, 0.0]), [1.0, 3.0])
 
 
@@ -311,7 +312,8 @@ def test_products_are_read_as_float64():
             return y + 1j
 
     op = ComplexOp(2, 2)
-    with pytest.raises(ValueError, match=r"ComplexOp \(2x2\): apply_transpose .* complex"):
+    with pytest.raises(ValueError, match=r"^ComplexOp \(2x2\): apply_transpose result must be "
+                                         r"real, got complex128 values$"):
         op.apply_transpose(np.ones((2, 3)))
 
     # Complex inputs raise too, before any product is made or counted,

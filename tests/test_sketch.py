@@ -34,6 +34,7 @@ def test_rng_stream_takes_an_integer_seed():
         assert np.array_equal(RngStream(seed).normal(4), RngStream(7).normal(4))
     # The key is the seed mod 2^64.
     assert np.array_equal(RngStream(-1).normal(4), RngStream(2**64 - 1).normal(4))
+    assert repr(RngStream(3)) == "RngStream(seed=0x3)"
 
 
 def test_rademacher_values_and_replay():

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import twoinf
 from twoinf import (
     DenseMatrix,
     GapMatrixSpec,
+    RngStream,
     TallMatrixSpec,
     compute_gap,
     exact_two_to_inf,
@@ -31,6 +33,26 @@ def test_gap_matrix_row_norm_layout():
         assert sq[1] == pytest.approx(1.0, rel=1e-12)
         assert np.all(sq[2:] <= 1.0 + 1e-12)
         assert np.all(sq[2:] >= 0.0)
+
+    # A draw with a zero row redraws that row before the rows are rescaled.
+    real_normal = RngStream.normal
+    sizes = []
+
+    def normal(self, size):
+        sizes.append(size)
+        out = real_normal(self, size)
+        if len(sizes) == 1:
+            out[1] = 0.0
+        return out
+
+    with mock.patch.object(RngStream, "normal", normal):
+        mat = gen_gap_matrix(GapMatrixSpec(rows=60, cols=40, gap=0.25, seed=5))
+    assert sizes == [(60, 40), 40]
+    assert np.all(np.isfinite(mat.array))
+    sq = np.einsum("ij,ij->i", mat.array, mat.array)
+    assert sq[0] == pytest.approx(1.25, rel=1e-12)
+    assert sq[1] == pytest.approx(1.0, rel=1e-12)
+    assert np.count_nonzero(mat.array[1]) > 0
 
 
 def test_gap_matrix_norm_and_gap():
